@@ -524,10 +524,11 @@ fn fidelity(spec: &MachineSpec, params: &SimParams) {
     println!();
 }
 
-/// Parallel speculative scoring over the paper suite: every benchmark is
-/// compiled through the clock pipeline at `--jobs` widths 1, 4 and 8, and
-/// the quality figures (chosen makespan bits, clock stats, schedule,
-/// transport) must be bit-for-bit identical at every width. Wall-clock
+/// The clock pipeline's two-arm race over the paper suite: every
+/// benchmark is compiled through the clock pipeline at `--jobs` widths
+/// 1, 4 and 8, and the quality figures (chosen makespan bits, clock
+/// stats, schedule, transport) must be bit-for-bit identical at every
+/// width. Wall-clock
 /// compile times (min over three runs) at jobs 1 and 4 ride into
 /// `BENCH_pr10.json` per benchmark, gated on quality parity with the
 /// committed `BENCH_pr9.json`.
@@ -541,7 +542,7 @@ fn jobs_determinism(spec: &MachineSpec, params: &SimParams) {
 
     const TIMING_RUNS: usize = 3;
 
-    println!("## Parallel speculative scoring (--jobs): determinism + wall clock");
+    println!("## Clock pipeline race (--jobs): determinism + wall clock");
     let model = qccd_core::TimingModel::realistic();
     let clock_config = CompilerConfig::optimized().with_timing(model);
     println!(

@@ -210,8 +210,8 @@ pub fn compare_timed(
     compare_timed_jobs(bench, spec, params, model, 1)
 }
 
-/// [`compare_timed`] with a worker-pool width for the packed/clock
-/// stacks (`--jobs`). Every width returns bit-for-bit identical rows —
+/// [`compare_timed`] with a thread count for the packed/clock stacks
+/// (`--jobs`). Every width returns bit-for-bit identical rows —
 /// only the `*_compile_s` wall-clock fields may differ.
 pub fn compare_timed_jobs(
     bench: &BenchmarkCircuit,
@@ -638,13 +638,8 @@ pub fn pack_gains(benches: &[BenchmarkCircuit], spec: &MachineSpec) -> Vec<PackR
                 &model,
             )
             .expect("greedy rounds lower");
-            let packed = qccd_pack::pack(
-                &lookahead,
-                &bench.circuit,
-                spec,
-                &qccd_pack::PackConfig::for_model(model),
-            )
-            .expect("packing validates on compiled schedules");
+            let packed = qccd_pack::pack(&lookahead, &bench.circuit, spec, &model)
+                .expect("packing validates on compiled schedules");
             PackRow {
                 name: bench.name.clone(),
                 greedy_depth: greedy.depth(),

@@ -178,11 +178,12 @@ pub struct CompilerConfig {
     /// reference. Ignored under [`Objective::Shuttles`].
     #[serde(default)]
     pub score_mode: ScoreMode,
-    /// Worker threads for speculative candidate scoring (`--jobs`). 1
-    /// (the default) scores sequentially; any width produces bit-for-bit
-    /// identical output — candidates shard over fixed index ranges and
-    /// reduce in candidate-index order, never completion order. Only the
-    /// clock objective and the pack pipeline spawn workers.
+    /// Threads for the clock-objective pipeline (`--jobs`). At 2 or more,
+    /// `qccd_pack::compile_clock` compiles its two arms (the
+    /// default-objective packed stack and the clock candidate)
+    /// concurrently; 1 (the default) runs them one after the other. The
+    /// race compares finished results, so every width returns bit-for-bit
+    /// the same output. Nothing else reads this field.
     #[serde(default = "default_jobs")]
     pub jobs: usize,
 }
@@ -270,9 +271,9 @@ impl CompilerConfig {
         CompilerConfig { score_mode, ..self }
     }
 
-    /// The given configuration with a different scoring-pool width
-    /// (`--jobs`; 0 is normalized to 1). Output is bit-for-bit identical
-    /// at every width.
+    /// The given configuration with a different clock-pipeline thread
+    /// count (`--jobs`; 0 is normalized to 1). Output is bit-for-bit
+    /// identical at every width.
     pub fn with_jobs(self, jobs: usize) -> Self {
         CompilerConfig {
             jobs: jobs.max(1),

@@ -148,14 +148,8 @@ pub fn compile_with_mapping(
         // by a speculative advance from this state — O(delta) by default,
         // O(suffix) under the `ScoreMode::Full` differential oracle.
         Objective::Clock => Some(
-            ClockScorer::new(
-                &mapping,
-                spec,
-                &config.timing,
-                config.score_mode,
-                config.jobs,
-            )
-            .map_err(CompileError::InternalTimeline)?,
+            ClockScorer::new(&mapping, spec, &config.timing, config.score_mode)
+                .map_err(CompileError::InternalTimeline)?,
         ),
     };
     let mut scheduler = Scheduler {
@@ -423,7 +417,7 @@ impl Scheduler<'_> {
             return choice.decision;
         };
         let model = clock.model();
-        let plan_walk = |d: &MoveDecision| -> Option<(IonId, Vec<TrapId>)> {
+        let mut score = |d: &MoveDecision| -> Option<f64> {
             let topology = self.state.spec().topology();
             let weight = |a: TrapId, b: TrapId| edge_weight(&model, topology, a, b);
             let plan = plan_route_weighted(
@@ -437,19 +431,9 @@ impl Scheduler<'_> {
             if self.state.is_full(d.to) || plan.full_interior_traps > 0 {
                 return None; // needs evictions the walk cannot price
             }
-            Some((d.ion, plan.path))
+            clock.score_walk(d.ion, &plan.path, self.circuit, self.state.spec())
         };
-        // Candidate collection decoupled from scoring: plan both
-        // orientations first (planner call order unchanged), then price
-        // the plannable walks as one batch reduced in candidate-index
-        // order — identical projections at any `--jobs` width.
-        let planned = [plan_walk(&choice.decision), plan_walk(&alt)];
-        let walks: Vec<(IonId, Vec<TrapId>)> = planned.iter().flatten().cloned().collect();
-        let mut scores = clock
-            .score_walks(&walks, self.circuit, self.state.spec())
-            .into_iter();
-        let [score_keep, score_alt] = planned.map(|p| p.and_then(|_| scores.next().flatten()));
-        let decided = match (score_keep, score_alt) {
+        let decided = match (score(&choice.decision), score(&alt)) {
             (Some(a), Some(b)) if b < a => Some(alt),
             (None, Some(_)) => Some(alt),
             _ => None,
@@ -867,17 +851,9 @@ impl Scheduler<'_> {
             return None;
         }
         let topology = self.state.spec().topology();
-        // Candidate collection decoupled from scoring: gather every
-        // destination's (ion, route) up to the first unroutable candidate
-        // — which still aborts the whole tie-break, exactly as the
-        // sequential interleaving did, but only after the collected
-        // prefix is priced (the prefix was scored before the abort in
-        // the old loop too, so stats and counters stay bit-for-bit).
-        let mut collected: Vec<(TrapId, Vec<TrapId>)> = Vec::new();
-        let mut walks: Vec<(IonId, Vec<TrapId>)> = Vec::new();
-        let mut aborted = false;
+        let mut best: Option<(f64, TrapId, Vec<TrapId>)> = None;
         for dest in candidates {
-            let Some(ion) = choose_ion(
+            let ion = choose_ion(
                 self.config.ion_selection,
                 self.circuit,
                 &self.state,
@@ -885,35 +861,18 @@ impl Scheduler<'_> {
                 blocked,
                 dest,
                 keep,
-            ) else {
-                aborted = true;
-                break;
-            };
-            let Some(route) = topology
+            )?;
+            let route = topology
                 .shortest_path_filtered(blocked, dest, |t| t == dest || !self.state.is_full(t))
-                .or_else(|| eviction_route(self.config.rebalance, topology, blocked, dest))
-            else {
-                aborted = true;
-                break;
+                .or_else(|| eviction_route(self.config.rebalance, topology, blocked, dest))?;
+            let Some(score) = clock.score_walk(ion, &route, self.circuit, self.state.spec()) else {
+                continue;
             };
-            walks.push((ion, route.clone()));
-            collected.push((dest, route));
-        }
-        let scores = clock.score_walks(&walks, self.circuit, self.state.spec());
-        if aborted {
-            return None;
-        }
-        // Reduce in candidate-index order; strict `<` keeps the first of
-        // equal minimums, matching the sequential fold.
-        let mut best: Option<(f64, usize)> = None;
-        for (i, score) in scores.into_iter().enumerate() {
-            let Some(score) = score else { continue };
-            if best.is_none_or(|(b, _)| score < b) {
-                best = Some((score, i));
+            if best.as_ref().is_none_or(|&(b, _, _)| score < b) {
+                best = Some((score, dest, route));
             }
         }
-        let (_, idx) = best?;
-        let (dest, route) = collected.swap_remove(idx);
+        let (_, dest, route) = best?;
         self.stats.clock_ties += 1;
         CLOCK_TIES.incr();
         Some((dest, route))

@@ -87,12 +87,11 @@ POLICY OPTIONS:
                         candidates: delta touches only the candidate's
                         resources with O(1) undo; full clones and re-lowers
                         the suffix — the bit-for-bit differential oracle)
-    --jobs N            worker threads for speculative candidate scoring,
-                        pack-candidate lowering, and the clock race
-                        [default: 1]
+    --jobs N            threads for --objective clock: at 2 or more, the
+                        default-objective packed stack and the clock
+                        candidate compile concurrently   [default: 1]
                         (results are bit-for-bit identical at every width:
-                        candidates shard on fixed index boundaries and
-                        reduce in candidate order, never finish order)
+                        the race compares finished results)
 
 OUTPUT OPTIONS:
     --format F          text | json | csv          [default: text]

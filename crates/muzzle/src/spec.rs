@@ -81,6 +81,19 @@ pub fn parse_circuit(spec: &str, file_qubits: Option<u32>) -> Result<CircuitSpec
         }
     };
 
+    // The generators assert their qubit-count preconditions; check them
+    // here so a bad spec is a usage error, not a panic.
+    let at_least = |min: u64| -> Result<(), String> {
+        if dims[0] >= min {
+            Ok(())
+        } else {
+            Err(format!(
+                "circuit family `{family}` needs at least {min} qubits, got {} in `{spec}`",
+                dims[0]
+            ))
+        }
+    };
+
     let circuit = match family {
         "qft" => {
             expect(1)?;
@@ -88,6 +101,13 @@ pub fn parse_circuit(spec: &str, file_qubits: Option<u32>) -> Result<CircuitSpec
         }
         "qaoa" => {
             expect(2)?;
+            if dims[0] < 4 || !dims[0].is_multiple_of(2) {
+                return Err(format!(
+                    "circuit family `qaoa` needs an even qubit count of at least 4 \
+                     (a 3-regular graph), got {} in `{spec}`",
+                    dims[0]
+                ));
+            }
             qaoa(dims[0] as u32, dims[1] as u32, seed.unwrap_or(0xA0A0))
         }
         "supremacy" => {
@@ -96,14 +116,17 @@ pub fn parse_circuit(spec: &str, file_qubits: Option<u32>) -> Result<CircuitSpec
         }
         "sqrt" => {
             expect(2)?;
+            at_least(4)?;
             square_root(dims[0] as u32, dims[1] as u32)
         }
         "quadform" => {
             expect(2)?;
+            at_least(2)?;
             quadratic_form(dims[0] as u32, dims[1] as usize)
         }
         "random" => {
             expect(2)?;
+            at_least(2)?;
             random_circuit(dims[0] as u32, dims[1] as usize, seed.unwrap_or(7))
         }
         other => {
@@ -277,6 +300,18 @@ mod tests {
         assert!(parse_circuit("nosuch:4", None).is_err());
         assert!(parse_circuit("random:axb", None).is_err());
         assert!(parse_circuit("random:12x50@zz", None).is_err());
+        // Generator preconditions are usage errors, never panics.
+        for (bad, needle) in [
+            ("qaoa:0x1", "even qubit count of at least 4"),
+            ("qaoa:3x100", "even qubit count of at least 4"),
+            ("qaoa:5x2", "even qubit count of at least 4"),
+            ("sqrt:1x1", "at least 4 qubits"),
+            ("quadform:1x0", "at least 2 qubits"),
+            ("random:1x5", "at least 2 qubits"),
+        ] {
+            let err = parse_circuit(bad, None).err().unwrap();
+            assert!(err.contains(needle), "`{bad}` → `{err}`");
+        }
         assert!(
             parse_circuit("file:nope.txt", None).is_err(),
             "file needs --qubits"

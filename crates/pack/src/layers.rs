@@ -24,7 +24,7 @@ use qccd_circuit::Circuit;
 use qccd_flow::{route_commodities, Commodity};
 use qccd_machine::{IonId, MachineSpec, MachineState, Operation, Schedule, TrapId};
 use qccd_route::TransportSchedule;
-use qccd_timing::{LowerState, TimelineEvent, TimingModel, WorkerPool, SEQUENTIAL_CUTOFF};
+use qccd_timing::{LowerState, TimelineEvent, TimingModel};
 
 /// Result of the batched layer-planning pass.
 pub(crate) struct LayerPlanned {
@@ -41,65 +41,45 @@ pub(crate) struct LayerPlanned {
 const HOP_COST: i64 = 1_000;
 const FULL_TRAP_COST: i64 = 6_000;
 
-/// A gate-free run located by the discovery pass: its slice of the
-/// operation stream and transport rounds, plus the machine occupancy
-/// snapshot its flow plan prices against.
-struct Run {
-    start: usize,
-    end: usize,
-    rounds_start: usize,
-    rounds_end: usize,
-    machine: MachineState,
-}
-
 /// Re-plans every gate-free run of `schedule` as a multi-commodity flow,
 /// keeping a rewrite only when it replays legally and strictly lowers the
 /// run's clock under `model`. `transport` must be the schedule's validated
 /// rounds (they time the original runs during scoring).
-///
-/// Three passes. **Discovery** walks the stream once with a plain machine
-/// replay, snapshotting the ion→trap mapping at every run start — run
-/// checkpoints are natural shard boundaries because a kept rewrite
-/// preserves each run's final mapping, so the snapshot is independent of
-/// which earlier rewrites get adopted. **Planning** then flow-plans every
-/// run's candidate rewrite on `pool`, reduced in run-index order (never
-/// completion order). **Adoption** replays the timed fold sequentially,
-/// scoring each precomputed rewrite from its live [`LowerState`]
-/// checkpoint exactly as the single-pass loop did — so any pool width is
-/// bit-for-bit identical to sequential planning.
 pub(crate) fn plan_layers(
     schedule: &Schedule,
     transport: &TransportSchedule,
     circuit: &Circuit,
     spec: &MachineSpec,
     model: &TimingModel,
-    pool: &WorkerPool,
 ) -> Result<LayerPlanned, PackError> {
+    let mut lower = LowerState::new(&schedule.initial_mapping, spec, model)?;
+    let mut scratch: Vec<TimelineEvent> = Vec::new();
+    let mut ops: Vec<Operation> = Vec::with_capacity(schedule.operations.len());
+    let mut replanned_runs = 0usize;
+    let mut dropped_hops = 0usize;
+
     let stream = &schedule.operations;
     let rounds = &transport.rounds;
-
-    // Pass 1 — discovery: locate runs, their round slices, and the
-    // machine at each run's start. Gates never move ions between traps
-    // (zone promotion is intra-trap) and the planner reads only
-    // occupancy and shuttle legality, so a shuttles-only replay prices
-    // identically to the timed fold's machine.
-    let mut runs: Vec<Run> = Vec::new();
-    let mut replay = MachineState::with_mapping(spec, &schedule.initial_mapping)
-        .map_err(|e| PackError::InvalidPacked(e.to_string()))?;
     let mut round_cursor = 0usize;
     let mut i = 0usize;
     while i < stream.len() {
         if let Operation::Gate { .. } = stream[i] {
+            scratch.clear();
+            lower.advance(&stream[i..i + 1], Some(&[]), circuit, spec, &mut scratch)?;
+            ops.push(stream[i]);
             i += 1;
             continue;
         }
+        // The gate-free run starting here, and its slice of the input
+        // transport rounds (relaxed validation guarantees exact coverage).
         let run_start = i;
         while matches!(stream.get(i), Some(Operation::Shuttle { .. })) {
             i += 1;
         }
+        let run_ops = &stream[run_start..i];
         let rounds_start = round_cursor;
         let mut covered = 0usize;
-        while covered < i - run_start {
+        while covered < run_ops.len() {
             // A caller-assembled result whose rounds do not cover the
             // schedule is a typed error, never a panic.
             let round = rounds.get(round_cursor).ok_or(PackError::Lower(
@@ -110,61 +90,22 @@ pub(crate) fn plan_layers(
             covered += round.moves.len();
             round_cursor += 1;
         }
-        let machine = replay.clone();
-        for op in &stream[run_start..i] {
-            if let Operation::Shuttle { ion, to, .. } = *op {
-                replay
-                    .shuttle(ion, to)
-                    .map_err(|e| PackError::InvalidPacked(e.to_string()))?;
-            }
-        }
-        runs.push(Run {
-            start: run_start,
-            end: i,
-            rounds_start,
-            rounds_end: round_cursor,
-            machine,
-        });
-    }
+        let run_rounds = &rounds[rounds_start..round_cursor];
 
-    // Pass 2 — planning: the flow solves (the expensive part) fan out on
-    // the pool, one run per task, reduced in run-index order.
-    let rewrites: Vec<Option<Vec<Operation>>> =
-        pool.map_indexed(runs.len(), SEQUENTIAL_CUTOFF, |k| {
-            let run = &runs[k];
-            let run_ops = &stream[run.start..run.end];
-            rewrite_run(run_ops, &run.machine, spec).filter(|n| n.len() <= run_ops.len())
-        });
-
-    // Pass 3 — adoption: the sequential timed fold, scoring each
-    // precomputed rewrite from the live checkpoint.
-    let mut lower = LowerState::new(&schedule.initial_mapping, spec, model)?;
-    let mut scratch: Vec<TimelineEvent> = Vec::new();
-    let mut ops: Vec<Operation> = Vec::with_capacity(stream.len());
-    let mut replanned_runs = 0usize;
-    let mut dropped_hops = 0usize;
-    let mut i = 0usize;
-    for (run, rewrite) in runs.iter().zip(&rewrites) {
-        while i < run.start {
-            scratch.clear();
-            lower.advance(&stream[i..i + 1], Some(&[]), circuit, spec, &mut scratch)?;
-            ops.push(stream[i]);
-            i += 1;
-        }
-        let run_ops = &stream[run.start..run.end];
-        let run_rounds = &rounds[run.rounds_start..run.rounds_end];
+        let rewrite =
+            rewrite_run(run_ops, lower.machine(), spec).filter(|n| n.len() <= run_ops.len());
         if let Some(new_ops) = rewrite {
             // Score both variants from the same checkpoint; the
             // rewrite must strictly win on the clock to be kept.
             let mut orig = lower.clone();
             scratch.clear();
             orig.advance(run_ops, Some(run_rounds), circuit, spec, &mut scratch)?;
-            match score_rewrite(&lower, new_ops, circuit, spec) {
+            match score_rewrite(&lower, &new_ops, circuit, spec) {
                 Some(new_state) if beats(&new_state, &orig) => {
                     replanned_runs += 1;
                     dropped_hops += run_ops.len() - new_ops.len();
                     lower = new_state;
-                    ops.extend_from_slice(new_ops);
+                    ops.extend_from_slice(&new_ops);
                 }
                 _ => {
                     lower = orig;
@@ -178,13 +119,6 @@ pub(crate) fn plan_layers(
             lower.advance(run_ops, Some(run_rounds), circuit, spec, &mut scratch)?;
             ops.extend_from_slice(run_ops);
         }
-        i = run.end;
-    }
-    while i < stream.len() {
-        scratch.clear();
-        lower.advance(&stream[i..i + 1], Some(&[]), circuit, spec, &mut scratch)?;
-        ops.push(stream[i]);
-        i += 1;
     }
     Ok(LayerPlanned {
         ops,
@@ -376,7 +310,6 @@ mod tests {
             &circuit,
             &spec,
             &TimingModel::realistic(),
-            &WorkerPool::new(1),
         )
         .unwrap();
         assert_eq!(planned.replanned_runs, 1);
@@ -406,7 +339,6 @@ mod tests {
             &circuit,
             &spec,
             &TimingModel::realistic(),
-            &WorkerPool::new(1),
         )
         .unwrap();
         // Both ions still end in T2 and the rewrite (if adopted) stays
@@ -448,7 +380,6 @@ mod tests {
             &circuit,
             &spec,
             &TimingModel::realistic(),
-            &WorkerPool::new(1),
         )
         .unwrap();
         // Whatever the planner chose, the result replays legally and ends
@@ -463,43 +394,55 @@ mod tests {
         assert_eq!(state.trap_of(IonId(1)), TrapId(2));
     }
 
+    /// Real re-planning on compiled programs, pinned to the numbers the
+    /// pass produced before it became a single sequential walk: the
+    /// smallest random circuits found whose packed result adopts a
+    /// layer-planned rewrite. The first drops a net-zero walk on a 2×3
+    /// grid; the second batches a run without dropping a hop, under the
+    /// clock objective on a 4×4 grid.
     #[test]
-    fn pool_width_never_changes_the_plan() {
-        // Many gate-free runs (shuttles separated by gates) so the
-        // planning pass actually shards; every pool width must emit the
-        // identical op stream and stats.
+    fn replanning_real_compiles_matches_the_recorded_plans() {
         use qccd_circuit::generators::random_circuit;
-        use qccd_core::{compile, CompilerConfig, RouterPolicy};
+        use qccd_core::{compile, CompilerConfig, Objective, RouterPolicy};
+        use qccd_machine::TrapTopology;
 
-        let spec = MachineSpec::linear(3, 8, 2).unwrap();
-        let circuit = random_circuit(12, 80, 7);
-        let config = CompilerConfig::optimized()
-            .with_router(RouterPolicy::congestion())
-            .with_lookahead(true);
-        let result = compile(&circuit, &spec, &config).unwrap();
         let model = TimingModel::realistic();
-        let base = plan_layers(
-            &result.schedule,
-            &result.transport,
-            &circuit,
-            &spec,
-            &model,
-            &WorkerPool::new(1),
-        )
-        .unwrap();
-        for jobs in [2usize, 4, 8] {
-            let wide = plan_layers(
-                &result.schedule,
-                &result.transport,
-                &circuit,
-                &spec,
-                &model,
-                &WorkerPool::new(jobs),
-            )
-            .unwrap();
-            assert_eq!(wide.ops, base.ops, "jobs={jobs}");
-            assert_eq!(wide.replanned_runs, base.replanned_runs, "jobs={jobs}");
-            assert_eq!(wide.dropped_hops, base.dropped_hops, "jobs={jobs}");
+        let packed_stack = CompilerConfig::optimized()
+            .with_router(RouterPolicy::congestion())
+            .with_lookahead(true)
+            .with_timing(model);
+        let cases = [
+            (
+                TrapTopology::grid(2, 3),
+                8,
+                random_circuit(32, 200, 0),
+                packed_stack,
+                (1, 2, 0x40f3_b690_0000_0000u64),
+            ),
+            (
+                TrapTopology::grid(4, 4),
+                20,
+                random_circuit(64, 400, 3),
+                packed_stack.with_objective(Objective::Clock),
+                (1, 0, 0x410c_48c8_0000_0000u64),
+            ),
+        ];
+        for (topology, capacity, circuit, config, want) in cases {
+            let spec = MachineSpec::new(topology, capacity, 2).unwrap();
+            let result = compile(&circuit, &spec, &config).unwrap();
+            let packed = crate::pack(&result, &circuit, &spec, &model).unwrap();
+            let stats = packed.stats;
+            assert!(stats.improved, "{}", spec.topology());
+            assert_eq!(
+                (
+                    stats.replanned_runs,
+                    stats.dropped_hops,
+                    stats.packed_makespan_us.to_bits()
+                ),
+                want,
+                "{}",
+                spec.topology()
+            );
         }
     }
 }

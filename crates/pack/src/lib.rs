@@ -30,6 +30,11 @@
 //! handed back — an invalid rewrite is a typed error, never a silent
 //! fallback.
 //!
+//! Packing runs on the caller's thread: candidates are built, lowered and
+//! compared one after another, and re-planning walks the schedule once.
+//! The crate's only concurrency is [`compile_clock`]'s race between its
+//! two pipeline arms when [`CompilerConfig::jobs`] is 2 or more.
+//!
 //! # Example
 //!
 //! ```
@@ -63,67 +68,17 @@ use qccd_route::{TransportError, TransportSchedule};
 static PACK_CANDIDATES: qccd_obs::Counter = qccd_obs::Counter::new("pack.candidates_tried");
 /// Candidates that strictly beat the input on the clock and were adopted.
 static PACK_ADOPTED: qccd_obs::Counter = qccd_obs::Counter::new("pack.candidates_adopted");
-use qccd_timing::{lower, LowerError, Timeline, TimingModel, WorkerPool, SEQUENTIAL_CUTOFF};
+use qccd_timing::{lower, LowerError, Timeline, TimingModel};
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
 pub use validate::validate_equivalent;
 
-/// Configuration of the packing passes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PackConfig {
-    /// Timing model every candidate is scored under (and the returned
-    /// timeline is lowered with).
-    pub model: TimingModel,
-    /// Enable cross-gate round packing.
-    pub cross_gate: bool,
-    /// Enable batched multi-commodity layer planning.
-    pub batch_layers: bool,
-    /// How many rounds back the cross-gate first-fit scan looks. Bounds
-    /// the packer at O(schedule × window); the default comfortably covers
-    /// every gap the paper workloads exhibit.
-    pub window: usize,
-    /// Worker-pool width for candidate lowering and per-run flow
-    /// planning (`--jobs`; 1 = sequential). Any width produces
-    /// bit-for-bit identical results — candidates shard on fixed index
-    /// boundaries and reduce in index order, never completion order.
-    #[serde(default = "default_jobs")]
-    pub jobs: usize,
-}
-
-fn default_jobs() -> usize {
-    1
-}
-
-impl PackConfig {
-    /// Both passes enabled, scored under `model`.
-    pub fn for_model(model: TimingModel) -> Self {
-        PackConfig {
-            model,
-            ..Self::default()
-        }
-    }
-
-    /// Sets the worker-pool width (normalized to at least 1).
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs.max(1);
-        self
-    }
-}
-
-impl Default for PackConfig {
-    /// Both passes, realistic device timing, window 96, sequential.
-    fn default() -> Self {
-        PackConfig {
-            model: TimingModel::realistic(),
-            cross_gate: true,
-            batch_layers: true,
-            window: 96,
-            jobs: default_jobs(),
-        }
-    }
-}
+/// How many rounds back the cross-gate first-fit scan looks. Bounds the
+/// packer at O(schedule × window); this comfortably covers every gap the
+/// paper workloads exhibit.
+const CROSS_GATE_WINDOW: usize = 96;
 
 /// What packing did, and what it was worth on the device clock.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -160,14 +115,15 @@ pub struct Packed {
 }
 
 /// Packs `result` into an equivalent program with minimal timed makespan
-/// under `config.model`.
+/// under `model`.
 ///
-/// Candidates (cross-gate packings of the input and of its layer-planned
-/// rewrite, under both join policies) are scored with full timed
-/// lowerings; the best strict improvement wins, otherwise the input is
-/// returned unchanged (`stats.improved == false`). The winner is fully
-/// validated: replay equivalence against the input schedule, strict
-/// transport-round validation, and timeline resource validation.
+/// Candidates (the greedy in-run repack, and cross-gate packings of the
+/// input and of its layer-planned rewrite under both join policies) are
+/// scored with full timed lowerings; the best strict improvement wins,
+/// otherwise the input is returned unchanged (`stats.improved == false`).
+/// The winner is fully validated: replay equivalence against the input
+/// schedule, strict transport-round validation, and timeline resource
+/// validation.
 ///
 /// # Errors
 ///
@@ -180,12 +136,12 @@ pub fn pack(
     result: &CompileResult,
     circuit: &Circuit,
     spec: &MachineSpec,
-    config: &PackConfig,
+    model: &TimingModel,
 ) -> Result<Packed, PackError> {
     let _phase = qccd_obs::span("pack");
     // When the compile was lowered under the scoring model, its attached
     // timeline *is* the input lowering — skip the redundant O(n) re-lower.
-    let input_timeline = if result.timing == config.model {
+    let input_timeline = if result.timing == *model {
         result.timeline.clone()
     } else {
         lower(
@@ -193,24 +149,10 @@ pub fn pack(
             Some(&result.transport),
             circuit,
             spec,
-            &config.model,
+            model,
         )?
     };
 
-    // Candidate construction is decoupled from candidate *scoring*: the
-    // cheap rewrite passes below assemble `Prepared` programs first, then
-    // every timed lowering — the expensive O(n) part — runs on the worker
-    // pool in one batch. Timelines come back in candidate-index order
-    // (never completion order) and the first lowering error in index
-    // order is the one returned, so any `jobs` width is bit-for-bit
-    // identical to the sequential pass.
-    struct Prepared {
-        schedule: Schedule,
-        transport: TransportSchedule,
-        hoisted_hops: usize,
-        replanned_runs: usize,
-        dropped_hops: usize,
-    }
     struct Candidate {
         schedule: Schedule,
         transport: TransportSchedule,
@@ -219,17 +161,17 @@ pub fn pack(
         replanned_runs: usize,
         dropped_hops: usize,
     }
-    let pool = WorkerPool::new(config.jobs);
     let cap = spec.total_capacity();
     let num_traps = spec.num_traps() as usize;
-    let mut prepared: Vec<Prepared> = Vec::new();
+    let mut candidates: Vec<Candidate> = Vec::new();
     let add_cross_gate = |base: &Schedule,
                           replanned_runs: usize,
                           dropped_hops: usize,
-                          prepared: &mut Vec<Prepared>| {
+                          candidates: &mut Vec<Candidate>|
+     -> Result<(), PackError> {
         let mut prev: Option<CrossGatePacked> = None;
         for share_only in [true, false] {
-            let packed = pack_cross_gate(base, cap, num_traps, config.window, share_only);
+            let packed = pack_cross_gate(base, cap, num_traps, CROSS_GATE_WINDOW, share_only);
             // The share-only and full passes frequently emit the same
             // program; comparing ops+rounds is O(n) while re-lowering and
             // carrying a duplicate candidate costs several O(n) passes.
@@ -239,88 +181,48 @@ pub fn pack(
                 continue;
             }
             prev = Some(packed.clone());
-            prepared.push(Prepared {
-                schedule: Schedule::new(base.initial_mapping.clone(), packed.ops),
+            let schedule = Schedule::new(base.initial_mapping.clone(), packed.ops);
+            let timeline = lower(&schedule, Some(&packed.transport), circuit, spec, model)?;
+            candidates.push(Candidate {
+                schedule,
                 transport: packed.transport,
+                timeline,
                 hoisted_hops: packed.hoisted_hops,
                 replanned_runs,
                 dropped_hops,
             });
         }
+        Ok(())
     };
 
-    // The greedy in-run repack rides along whenever any pass is enabled:
-    // the lookahead packer optimizes *depth* and can be marginally slower
-    // on the clock (fewer, wider rounds can couple resources), so the
-    // packed result must never lose to either in-run packer.
-    if config.cross_gate || config.batch_layers {
-        if let Ok(greedy) = TransportSchedule::pack_concurrent(&result.schedule, spec) {
-            prepared.push(Prepared {
-                schedule: result.schedule.clone(),
-                transport: greedy,
-                hoisted_hops: 0,
-                replanned_runs: 0,
-                dropped_hops: 0,
-            });
-        }
-    }
-    if config.cross_gate {
-        add_cross_gate(&result.schedule, 0, 0, &mut prepared);
-    }
-    if config.batch_layers {
-        let planned = plan_layers(
-            &result.schedule,
-            &result.transport,
-            circuit,
-            spec,
-            &config.model,
-            &pool,
-        )?;
-        if planned.replanned_runs > 0 {
-            let schedule = Schedule::new(result.schedule.initial_mapping.clone(), planned.ops);
-            if config.cross_gate {
-                add_cross_gate(
-                    &schedule,
-                    planned.replanned_runs,
-                    planned.dropped_hops,
-                    &mut prepared,
-                );
-            } else {
-                let transport = TransportSchedule::pack_concurrent(&schedule, spec)
-                    .map_err(PackError::Transport)?;
-                prepared.push(Prepared {
-                    schedule,
-                    transport,
-                    hoisted_hops: 0,
-                    replanned_runs: planned.replanned_runs,
-                    dropped_hops: planned.dropped_hops,
-                });
-            }
-        }
-    }
-
-    PACK_CANDIDATES.add(prepared.len() as u64);
-    let timelines = pool.map_indexed(prepared.len(), SEQUENTIAL_CUTOFF, |i| {
-        let c = &prepared[i];
-        lower(
-            &c.schedule,
-            Some(&c.transport),
-            circuit,
-            spec,
-            &config.model,
-        )
-    });
-    let mut candidates: Vec<Candidate> = Vec::with_capacity(prepared.len());
-    for (c, timeline) in prepared.into_iter().zip(timelines) {
+    // The greedy in-run repack rides along: the lookahead packer optimizes
+    // *depth* and can be marginally slower on the clock (fewer, wider
+    // rounds can couple resources), so the packed result must never lose
+    // to either in-run packer.
+    if let Ok(greedy) = TransportSchedule::pack_concurrent(&result.schedule, spec) {
+        let timeline = lower(&result.schedule, Some(&greedy), circuit, spec, model)?;
         candidates.push(Candidate {
-            schedule: c.schedule,
-            transport: c.transport,
-            timeline: timeline?,
-            hoisted_hops: c.hoisted_hops,
-            replanned_runs: c.replanned_runs,
-            dropped_hops: c.dropped_hops,
+            schedule: result.schedule.clone(),
+            transport: greedy,
+            timeline,
+            hoisted_hops: 0,
+            replanned_runs: 0,
+            dropped_hops: 0,
         });
     }
+    add_cross_gate(&result.schedule, 0, 0, &mut candidates)?;
+    let planned = plan_layers(&result.schedule, &result.transport, circuit, spec, model)?;
+    if planned.replanned_runs > 0 {
+        let schedule = Schedule::new(result.schedule.initial_mapping.clone(), planned.ops);
+        add_cross_gate(
+            &schedule,
+            planned.replanned_runs,
+            planned.dropped_hops,
+            &mut candidates,
+        )?;
+    }
+
+    PACK_CANDIDATES.add(candidates.len() as u64);
     let best = candidates
         .into_iter()
         .min_by(|a, b| {
@@ -404,13 +306,7 @@ pub fn compile_packed(
     };
     let config = config.with_router(router).with_lookahead(true);
     let result = compile(circuit, spec, &config).map_err(PackCompileError::Compile)?;
-    let packed = pack(
-        &result,
-        circuit,
-        spec,
-        &PackConfig::for_model(config.timing).with_jobs(config.jobs),
-    )
-    .map_err(PackCompileError::Pack)?;
+    let packed = pack(&result, circuit, spec, &config.timing).map_err(PackCompileError::Pack)?;
     let stats = packed.stats;
     let result = if stats.improved {
         result.with_transport(packed.schedule, packed.transport, packed.timeline)
@@ -637,7 +533,7 @@ mod tests {
         for seed in [1u64, 7, 23] {
             let circuit = random_circuit(12, 80, seed);
             let result = compile(&circuit, &spec, &packed_config()).unwrap();
-            let packed = pack(&result, &circuit, &spec, &PackConfig::default()).unwrap();
+            let packed = pack(&result, &circuit, &spec, &TimingModel::realistic()).unwrap();
             assert!(
                 packed.stats.packed_makespan_us <= packed.stats.input_makespan_us,
                 "seed {seed}: packed {} > input {}",
@@ -653,7 +549,7 @@ mod tests {
         let spec = MachineSpec::linear(3, 8, 2).unwrap();
         let circuit = qaoa(14, 4, 3);
         let result = compile(&circuit, &spec, &packed_config()).unwrap();
-        let packed = pack(&result, &circuit, &spec, &PackConfig::default()).unwrap();
+        let packed = pack(&result, &circuit, &spec, &TimingModel::realistic()).unwrap();
         validate_equivalent(&result.schedule, &packed.schedule, &circuit, &spec).unwrap();
         packed.transport.validate(&packed.schedule, &spec).unwrap();
         packed.timeline.validate().unwrap();
@@ -726,21 +622,5 @@ mod tests {
                 "jobs={jobs}"
             );
         }
-    }
-
-    #[test]
-    fn disabled_passes_return_the_input() {
-        let spec = MachineSpec::linear(3, 8, 2).unwrap();
-        let circuit = random_circuit(12, 60, 5);
-        let result = compile(&circuit, &spec, &packed_config()).unwrap();
-        let config = PackConfig {
-            cross_gate: false,
-            batch_layers: false,
-            ..PackConfig::default()
-        };
-        let packed = pack(&result, &circuit, &spec, &config).unwrap();
-        assert!(!packed.stats.improved);
-        assert_eq!(packed.schedule, result.schedule);
-        assert_eq!(packed.transport, result.transport);
     }
 }

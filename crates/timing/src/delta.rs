@@ -41,14 +41,6 @@
 //! to the clone-based oracle; the compile loop's speculative candidates
 //! are pure shuttle walks, so the fallback never fires on the hot path.
 //!
-//! The overlay itself is the free function [`score_shuttles_overlay`]: it
-//! reads the fold immutably and keeps every speculative write in a
-//! caller-supplied [`ScoreArena`], so many candidates can be priced
-//! concurrently against one shared checkpoint — each worker owns an
-//! arena, nobody mutates the fold, and the float-op sequence per
-//! candidate is identical to the sequential path (the `--jobs N`
-//! bit-for-bit determinism contract rests on exactly that).
-//!
 //! [`DeltaScorer::score_ops_full`] is the other end of the spectrum: the
 //! **full re-lower oracle** behind `--score-mode full`, which prices every
 //! candidate by replaying the entire committed schedule plus the candidate
@@ -69,164 +61,10 @@ static DELTA_HITS: qccd_obs::Counter = qccd_obs::Counter::new("timing.delta_hits
 static CLONE_FALLBACKS: qccd_obs::Counter = qccd_obs::Counter::new("timing.clone_fallbacks");
 /// Full re-lower oracle invocations (`--score-mode full`).
 static FULL_SCORES: qccd_obs::Counter = qccd_obs::Counter::new("timing.full_scores");
-/// Speculative shuttle applications to an overlay arena.
+/// Speculative shuttle applications to the live frontiers.
 static DELTA_APPLIES: qccd_obs::Counter = qccd_obs::Counter::new("timing.delta_applies");
-/// Speculation unwinds — arena resets, one per delta-scored candidate.
+/// Speculation unwinds (one per delta-scored candidate).
 static DELTA_UNDOS: qccd_obs::Counter = qccd_obs::Counter::new("timing.delta_undos");
-
-/// Per-candidate speculative write-set, reused across candidates to keep
-/// the hot path allocation-free. One arena per scoring thread: the fold
-/// itself is never mutated, so any number of workers can price candidates
-/// against the same [`LowerState`] checkpoint concurrently.
-#[derive(Debug, Clone, Default)]
-pub struct ScoreArena {
-    /// Shadow position overrides: latest entry for an ion wins.
-    moved: Vec<(IonId, TrapId)>,
-    /// Shadow per-trap occupancy deltas.
-    occ_delta: Vec<(usize, i64)>,
-    /// Speculative per-trap clock writes (index, value): latest wins.
-    clock_w: Vec<(usize, f64)>,
-    /// Speculative per-ion availability writes (index, value): latest wins.
-    avail_w: Vec<(usize, f64)>,
-}
-
-impl ScoreArena {
-    /// An empty arena.
-    pub fn new() -> Self {
-        ScoreArena::default()
-    }
-
-    fn reset(&mut self) {
-        self.moved.clear();
-        self.occ_delta.clear();
-        self.clock_w.clear();
-        self.avail_w.clear();
-    }
-
-    /// The trap holding `ion` under the current overlay (latest move
-    /// wins, else the fold's machine state).
-    fn trap_of(&self, state: &LowerState, ion: IonId) -> TrapId {
-        self.moved
-            .iter()
-            .rev()
-            .find(|&&(i, _)| i == ion)
-            .map(|&(_, t)| t)
-            .unwrap_or_else(|| state.state.trap_of(ion))
-    }
-
-    /// Occupancy of `trap` under the current overlay.
-    fn occupancy(&self, state: &LowerState, trap: TrapId) -> i64 {
-        let base = i64::from(state.state.occupancy(trap));
-        let delta: i64 = self
-            .occ_delta
-            .iter()
-            .filter(|&&(t, _)| t == trap.index())
-            .map(|&(_, d)| d)
-            .sum();
-        base + delta
-    }
-
-    fn bump_occupancy(&mut self, trap: usize, by: i64) {
-        match self.occ_delta.iter_mut().find(|(t, _)| *t == trap) {
-            Some((_, d)) => *d += by,
-            None => self.occ_delta.push((trap, by)),
-        }
-    }
-
-    /// Trap clock under the overlay (latest speculative write wins).
-    fn clock(&self, state: &LowerState, trap: usize) -> f64 {
-        self.clock_w
-            .iter()
-            .rev()
-            .find(|&&(t, _)| t == trap)
-            .map(|&(_, v)| v)
-            .unwrap_or(state.clock[trap])
-    }
-
-    /// Ion availability under the overlay (latest speculative write wins).
-    fn avail(&self, state: &LowerState, ion: usize) -> f64 {
-        self.avail_w
-            .iter()
-            .rev()
-            .find(|&&(q, _)| q == ion)
-            .map(|&(_, v)| v)
-            .unwrap_or(state.avail[ion])
-    }
-}
-
-/// Prices a shuttle-only candidate against `state` without touching it:
-/// the projected makespan after `ops` from the committed `base_makespan`,
-/// or `None` on the first illegal op. All speculative writes live in
-/// `arena` (reset on entry), so the fold can be shared immutably across
-/// any number of concurrent scorers — and the arithmetic is the same
-/// float-op sequence as [`LowerState::advance`]'s transport-less
-/// synthetic-round path, bit-for-bit (see the module docs for the
-/// legality/claimed-endpoint contract).
-pub fn score_shuttles_overlay(
-    state: &LowerState,
-    base_makespan: f64,
-    ops: &[Operation],
-    spec: &MachineSpec,
-    arena: &mut ScoreArena,
-) -> Option<f64> {
-    arena.reset();
-    DELTA_APPLIES.add(ops.len() as u64);
-    DELTA_UNDOS.incr();
-    // `advance` takes junction counts from the *passed* spec's topology
-    // but shuttle legality from the machine's own spec — mirror the
-    // split even though callers pass the same spec.
-    let topology = spec.topology();
-    let model = state.model;
-    let mut score = base_makespan;
-    for op in ops {
-        let &Operation::Shuttle { ion, from, to } = op else {
-            unreachable!("gate candidates take the oracle path");
-        };
-        // Legality, in `MachineState::shuttle`'s exact check order,
-        // against the overlaid state. Every failure mode — TrapFull via
-        // the stalled single-member round, the rest via machine errors —
-        // makes the oracle score `None`; collapse them.
-        let machine_spec = state.state.spec();
-        if ion.index() >= state.avail.len() {
-            return None;
-        }
-        if machine_spec.check_trap(to).is_err() {
-            return None;
-        }
-        let actual_from = arena.trap_of(state, ion);
-        if actual_from == to {
-            return None;
-        }
-        if !machine_spec.topology().are_adjacent(actual_from, to) {
-            return None;
-        }
-        let capacity = i64::from(machine_spec.total_capacity());
-        if arena.occupancy(state, to) >= capacity {
-            return None;
-        }
-        // Overlay the move: the ion departs its actual trap and lands in
-        // `to`.
-        arena.moved.push((ion, to));
-        arena.bump_occupancy(actual_from.index(), -1);
-        arena.bump_occupancy(to.index(), 1);
-        // Synthetic single-hop round timing, claimed endpoints.
-        let junctions = TimingModel::junctions_crossed(topology, from, to);
-        let tau = 0.0f64.max(model.hop_us(junctions));
-        let mut start = 0.0f64.max(arena.avail(state, ion.index()));
-        start = start.max(arena.clock(state, from.index()));
-        if to.index() != from.index() {
-            start = start.max(arena.clock(state, to.index()));
-        }
-        let end = start + tau;
-        arena.avail_w.push((ion.index(), end));
-        arena.clock_w.push((from.index(), end));
-        if to.index() != from.index() {
-            arena.clock_w.push((to.index(), end));
-        }
-        score = score.max(end);
-    }
-    Some(score)
-}
 
 /// The lowering fold plus the overlay machinery for O(delta) speculative
 /// scoring with cheap undo.
@@ -238,9 +76,15 @@ pub struct DeltaScorer {
     /// Cached `state.makespan_us()`, refreshed on every commit so each
     /// speculation starts from a scalar instead of re-folding the clocks.
     makespan: f64,
-    /// Reused overlay arena for this scorer's own sequential
-    /// speculations (workers bring their own).
-    arena: ScoreArena,
+    /// Shadow position overrides for the current speculation: latest
+    /// entry for an ion wins. Cleared by undo.
+    moved: Vec<(IonId, TrapId)>,
+    /// Shadow per-trap occupancy deltas for the current speculation.
+    occ_delta: Vec<(usize, i64)>,
+    /// Undo log of touched per-trap clocks (index, pre-touch value).
+    undo_clock: Vec<(usize, f64)>,
+    /// Undo log of touched per-ion availabilities (index, pre-touch value).
+    undo_avail: Vec<(usize, f64)>,
     /// Scratch event buffer for commits (events are discarded).
     scratch: Vec<TimelineEvent>,
     /// Candidates scored since construction (delta and fallback paths).
@@ -269,7 +113,10 @@ impl DeltaScorer {
         Ok(DeltaScorer {
             state,
             makespan,
-            arena: ScoreArena::new(),
+            moved: Vec::new(),
+            occ_delta: Vec::new(),
+            undo_clock: Vec::new(),
+            undo_avail: Vec::new(),
             scratch: Vec::new(),
             speculations: 0,
             mapping: mapping.clone(),
@@ -338,35 +185,9 @@ impl DeltaScorer {
             return self.state.score_ops(ops, circuit, spec);
         }
         DELTA_HITS.incr();
-        score_shuttles_overlay(&self.state, self.makespan, ops, spec, &mut self.arena)
-    }
-
-    /// [`score_ops`](Self::score_ops) for concurrent batch pricing: the
-    /// fold is read immutably and all speculative state lives in the
-    /// caller's `arena` (one per worker), so any number of these can run
-    /// at once against one scorer. Does **not** bump the speculation
-    /// count — batch callers account for the whole batch up front via
-    /// [`note_speculations`](Self::note_speculations) so the stat is
-    /// independent of how the batch was sharded.
-    pub fn score_ops_in(
-        &self,
-        ops: &[Operation],
-        circuit: &Circuit,
-        spec: &MachineSpec,
-        arena: &mut ScoreArena,
-    ) -> Option<f64> {
-        if ops.iter().any(|op| matches!(op, Operation::Gate { .. })) {
-            CLONE_FALLBACKS.incr();
-            return self.state.score_ops(ops, circuit, spec);
-        }
-        DELTA_HITS.incr();
-        score_shuttles_overlay(&self.state, self.makespan, ops, spec, arena)
-    }
-
-    /// Records `n` speculations scored outside [`score_ops`]'s own
-    /// bookkeeping (the batch paths).
-    pub fn note_speculations(&mut self, n: usize) {
-        self.speculations += n;
+        let score = self.apply_speculative(ops, spec);
+        self.undo();
+        score
     }
 
     /// Scores a candidate suffix on the **full re-lower oracle**
@@ -388,20 +209,6 @@ impl DeltaScorer {
         spec: &MachineSpec,
     ) -> Option<f64> {
         self.speculations += 1;
-        self.score_ops_full_in(ops, circuit, spec)
-    }
-
-    /// [`score_ops_full`](Self::score_ops_full) without the speculation
-    /// bookkeeping: `&self`, so batch callers can replay candidates
-    /// concurrently (each replay clones the mapping and committed prefix
-    /// itself). Pair with
-    /// [`note_speculations`](Self::note_speculations).
-    pub fn score_ops_full_in(
-        &self,
-        ops: &[Operation],
-        circuit: &Circuit,
-        spec: &MachineSpec,
-    ) -> Option<f64> {
         FULL_SCORES.incr();
         let mut all = Vec::with_capacity(self.committed.len() + ops.len());
         all.extend_from_slice(&self.committed);
@@ -410,6 +217,117 @@ impl DeltaScorer {
         crate::scheduler::lower(&schedule, None, circuit, spec, &self.state.model)
             .ok()
             .map(|timeline| timeline.makespan_us)
+    }
+
+    /// Applies a shuttle-only candidate to the live frontiers, logging
+    /// undo records, and returns its projected makespan (`None` on the
+    /// first illegal op — the caller unwinds either way).
+    fn apply_speculative(&mut self, ops: &[Operation], spec: &MachineSpec) -> Option<f64> {
+        DELTA_APPLIES.add(ops.len() as u64);
+        // `advance` takes junction counts from the *passed* spec's
+        // topology but shuttle legality from the machine's own spec —
+        // mirror the split even though callers pass the same spec.
+        let topology = spec.topology();
+        let model = self.state.model;
+        let mut score = self.makespan;
+        for op in ops {
+            let &Operation::Shuttle { ion, from, to } = op else {
+                unreachable!("gate candidates take the oracle path");
+            };
+            // Legality, in `MachineState::shuttle`'s exact check order,
+            // against the shadowed state. Every failure mode — TrapFull
+            // via the stalled single-member round, the rest via machine
+            // errors — makes the oracle score `None`; collapse them.
+            let machine_spec = self.state.state.spec();
+            if ion.index() >= self.state.avail.len() {
+                return None;
+            }
+            if machine_spec.check_trap(to).is_err() {
+                return None;
+            }
+            let actual_from = self.shadow_trap_of(ion);
+            if actual_from == to {
+                return None;
+            }
+            if !machine_spec.topology().are_adjacent(actual_from, to) {
+                return None;
+            }
+            let capacity = i64::from(machine_spec.total_capacity());
+            if self.shadow_occupancy(to) >= capacity {
+                return None;
+            }
+            // Shadow the move: the ion departs its actual trap and lands
+            // in `to`.
+            self.moved.push((ion, to));
+            self.bump_occupancy(actual_from.index(), -1);
+            self.bump_occupancy(to.index(), 1);
+            // Synthetic single-hop round timing, claimed endpoints.
+            let junctions = TimingModel::junctions_crossed(topology, from, to);
+            let tau = 0.0f64.max(model.hop_us(junctions));
+            let mut start = 0.0f64.max(self.state.avail[ion.index()]);
+            start = start.max(self.state.clock[from.index()]);
+            if to.index() != from.index() {
+                start = start.max(self.state.clock[to.index()]);
+            }
+            let end = start + tau;
+            self.undo_avail
+                .push((ion.index(), self.state.avail[ion.index()]));
+            self.state.avail[ion.index()] = end;
+            self.undo_clock
+                .push((from.index(), self.state.clock[from.index()]));
+            self.state.clock[from.index()] = end;
+            if to.index() != from.index() {
+                self.undo_clock
+                    .push((to.index(), self.state.clock[to.index()]));
+                self.state.clock[to.index()] = end;
+            }
+            score = score.max(end);
+        }
+        Some(score)
+    }
+
+    /// Rolls the speculation back: restores touched clocks and
+    /// availabilities in reverse log order (an index logged twice gets its
+    /// original value back last) and clears the shadow overlays.
+    fn undo(&mut self) {
+        DELTA_UNDOS.incr();
+        while let Some((t, v)) = self.undo_clock.pop() {
+            self.state.clock[t] = v;
+        }
+        while let Some((q, v)) = self.undo_avail.pop() {
+            self.state.avail[q] = v;
+        }
+        self.moved.clear();
+        self.occ_delta.clear();
+    }
+
+    /// The trap holding `ion` under the current shadow (latest move wins).
+    fn shadow_trap_of(&self, ion: IonId) -> TrapId {
+        self.moved
+            .iter()
+            .rev()
+            .find(|&&(i, _)| i == ion)
+            .map(|&(_, t)| t)
+            .unwrap_or_else(|| self.state.state.trap_of(ion))
+    }
+
+    /// Occupancy of `trap` under the current shadow.
+    fn shadow_occupancy(&self, trap: TrapId) -> i64 {
+        let base = i64::from(self.state.state.occupancy(trap));
+        let delta: i64 = self
+            .occ_delta
+            .iter()
+            .filter(|&&(t, _)| t == trap.index())
+            .map(|&(_, d)| d)
+            .sum();
+        base + delta
+    }
+
+    fn bump_occupancy(&mut self, trap: usize, by: i64) {
+        match self.occ_delta.iter_mut().find(|(t, _)| *t == trap) {
+            Some((_, d)) => *d += by,
+            None => self.occ_delta.push((trap, by)),
+        }
     }
 }
 
@@ -550,49 +468,6 @@ mod tests {
             s.commit(op, &circuit, &spec).unwrap();
         }
         assert_eq!(s.makespan_us(), first, "commit lands on the projection");
-    }
-
-    /// The `&self` batch entry point with a caller-owned arena must price
-    /// identically to the sequential `score_ops` path — including from
-    /// other threads sharing one scorer.
-    #[test]
-    fn worker_arena_scoring_matches_sequential_path() {
-        let spec = MachineSpec::linear(3, 4, 1).unwrap();
-        let circuit = Circuit::new(6);
-        let mut s = scorer(&spec, 6, &TimingModel::realistic());
-        let candidates: Vec<Vec<Operation>> = vec![
-            vec![sh(0, 0, 1)],
-            vec![sh(0, 0, 1), sh(0, 1, 2)],
-            vec![sh(5, 1, 2), sh(0, 0, 1)],
-            vec![sh(0, 0, 2)], // illegal: not adjacent
-        ];
-        let sequential: Vec<Option<f64>> = candidates
-            .iter()
-            .map(|ops| s.score_ops(ops, &circuit, &spec))
-            .collect();
-        // Same scorer, shared immutably across threads, worker arenas.
-        let shared = &s;
-        let circuit_ref = &circuit;
-        let spec_ref = &spec;
-        let threaded: Vec<Option<f64>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = candidates
-                .iter()
-                .map(|ops| {
-                    scope.spawn(move || {
-                        let mut arena = ScoreArena::new();
-                        shared.score_ops_in(ops, circuit_ref, spec_ref, &mut arena)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        assert_eq!(sequential, threaded);
-        s.note_speculations(candidates.len());
-        assert_eq!(s.speculations(), 2 * candidates.len());
-        // Full-oracle batch variant agrees with its sequential wrapper.
-        let full_seq = s.score_ops_full(&candidates[0], &circuit, &spec);
-        let full_batch = s.score_ops_full_in(&candidates[0], &circuit, &spec);
-        assert_eq!(full_seq, full_batch);
     }
 
     /// Gate-containing candidates take the oracle fallback and still

@@ -24,7 +24,7 @@
 use muzzle_shuttle::circuit::generators::random_circuit;
 use muzzle_shuttle::compiler::{compile, CompilerConfig, Objective, RouterPolicy};
 use muzzle_shuttle::machine::{MachineSpec, TrapTopology};
-use muzzle_shuttle::pack::{compile_clock, pack, validate_equivalent, PackConfig};
+use muzzle_shuttle::pack::{compile_clock, pack, validate_equivalent};
 use muzzle_shuttle::timing::{lower, TimingModel};
 use proptest::prelude::*;
 
@@ -120,7 +120,7 @@ proptest! {
 
         // (2) Replay equivalence: the pack validators accept the clock
         // result exactly as they accept shuttle-objective results.
-        let packed = pack(&result, &circuit, &spec, &PackConfig::for_model(model))
+        let packed = pack(&result, &circuit, &spec, &model)
             .expect("packing validates on clock-objective schedules");
         validate_equivalent(&result.schedule, &packed.schedule, &circuit, &spec)
             .expect("packed clock schedule must be replay-equivalent");

@@ -22,7 +22,7 @@
 use muzzle_shuttle::circuit::generators::random_circuit;
 use muzzle_shuttle::compiler::{compile, CompilerConfig, RouterPolicy};
 use muzzle_shuttle::machine::{MachineSpec, Operation, TrapTopology};
-use muzzle_shuttle::pack::{pack, validate_equivalent, PackConfig};
+use muzzle_shuttle::pack::{pack, validate_equivalent};
 use muzzle_shuttle::route::TransportSchedule;
 use muzzle_shuttle::timing::{lower, LowerState, TimingModel};
 use proptest::prelude::*;
@@ -76,7 +76,7 @@ proptest! {
         } else {
             TimingModel::ideal()
         };
-        let packed = pack(&result, &circuit, &spec, &PackConfig::for_model(model))
+        let packed = pack(&result, &circuit, &spec, &model)
             .expect("packing validates on compiled schedules");
 
         // (1) replay equivalence: same gates, same traps, same final mapping.
