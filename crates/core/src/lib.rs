@@ -39,6 +39,7 @@ mod analysis;
 mod config;
 mod error;
 mod mapping;
+mod next_use;
 mod objective;
 mod policies;
 mod rebalance;

@@ -2,6 +2,7 @@
 //! the paper's future-ops move score (§III-A).
 
 use crate::config::DirectionPolicy;
+use crate::next_use::NextUse;
 use qccd_circuit::{Circuit, DependencyDag, GateId, Qubit};
 use qccd_machine::{IonId, MachineState, TrapId};
 use std::collections::VecDeque;
@@ -99,6 +100,17 @@ pub fn decide_direction(
 /// [`DirectionChoice`]). The shuttle-count objective ignores the
 /// alternative; the clock objective scores both on the projected device
 /// clock.
+///
+/// Cost: one O(pending) pass indexing each ion's two-qubit gates from
+/// `pending[active_pos..]`, then the decision itself. The compile loop
+/// keeps that index current across decisions instead of rebuilding it,
+/// so a decision there costs only the §III-A scan: O(relevant gates
+/// within the proximity cutoff) under
+/// [`DirectionPolicy::FutureOps`], O(proximity window) under the
+/// positional [`DirectionPolicy::FutureOpsGateDistance`] ablation, which
+/// walks `pending`, and O(1) under [`DirectionPolicy::ExcessCapacity`].
+/// It reads the operands' traps and the excess capacities of those two
+/// traps from `state`, and the layers of the scanned gates from `dag`.
 pub fn decide_direction_open(
     policy: DirectionPolicy,
     circuit: &Circuit,
@@ -106,6 +118,26 @@ pub fn decide_direction_open(
     state: &MachineState,
     pending: &VecDeque<GateId>,
     active_pos: usize,
+) -> DirectionChoice {
+    let next_use = NextUse::new(
+        circuit,
+        state.num_ions() as usize,
+        pending.range(active_pos..).copied(),
+    );
+    decide_direction_indexed(policy, circuit, dag, state, pending, active_pos, &next_use)
+}
+
+/// [`decide_direction_open`] over a caller-maintained [`NextUse`] index,
+/// in which the gate at `pending[active_pos]` must be ready: the first
+/// unexecuted gate of both its operands.
+pub(crate) fn decide_direction_indexed(
+    policy: DirectionPolicy,
+    circuit: &Circuit,
+    dag: &DependencyDag,
+    state: &MachineState,
+    pending: &VecDeque<GateId>,
+    active_pos: usize,
+    next_use: &NextUse,
 ) -> DirectionChoice {
     let gate = circuit.gate(pending[active_pos]);
     let (qa, qb) = gate
@@ -116,9 +148,21 @@ pub fn decide_direction_open(
     assert_ne!(trap_a, trap_b, "gate operands are already co-located");
 
     let scored = |metric: ProximityMetric, proximity: u32| -> DirectionChoice {
-        let scores = move_scores(
-            circuit, dag, state, pending, active_pos, qa, qb, trap_a, trap_b, proximity, metric,
-        );
+        let scan = || {
+            move_scores_scan(
+                circuit, dag, state, pending, active_pos, qa, qb, trap_a, trap_b, proximity, metric,
+            )
+        };
+        let scores = match metric {
+            ProximityMetric::Layers => {
+                let scores = move_scores(
+                    circuit, dag, state, next_use, qa, qb, trap_a, trap_b, proximity,
+                );
+                debug_assert_eq!(scores, scan(), "indexed §III-A scores diverged");
+                scores
+            }
+            ProximityMetric::Gates => scan(),
+        };
         if scores.a_to_b > scores.b_to_a {
             DirectionChoice {
                 decision: MoveDecision {
@@ -198,15 +242,92 @@ fn excess_capacity_direction(
     }
 }
 
-/// Computes the §III-A2 move scores for the active gate, honouring the
-/// §III-A3 proximity cutoff.
+/// Computes the §III-A2 move scores for the active gate `(qa, qb)`,
+/// honouring the §III-A3 proximity cutoff in dependency-graph layers.
+///
+/// Reads only `next_use`: the active gate must be the first unexecuted
+/// gate of both operands (every gate the scheduler decides is ready). The
+/// later gates of `qa` and `qb` are merged in `(layer, id)` order — the
+/// order of the planned queue — counting a gate of both operands once.
+/// When the layer gap since the previous relevant gate exceeds
+/// `proximity`, the scan stops and all later gates are excluded.
+///
+/// Cost: O(relevant gates in range), independent of the width of the
+/// pending queue. It answers exactly what [`move_scores_scan`] does under
+/// [`ProximityMetric::Layers`]: the queue is layer-sorted, so an
+/// irrelevant gate whose gap would stop that walk is followed by a
+/// relevant gate whose gap stops it too.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn move_scores(
+    circuit: &Circuit,
+    dag: &DependencyDag,
+    state: &MachineState,
+    next_use: &NextUse,
+    qa: Qubit,
+    qb: Qubit,
+    trap_a: TrapId,
+    trap_b: TrapId,
+    proximity: u32,
+) -> MoveScores {
+    let (a, b) = (
+        next_use.remaining(IonId::from(qa)),
+        next_use.remaining(IonId::from(qb)),
+    );
+    debug_assert!(
+        !a.is_empty() && a.first() == b.first(),
+        "the active gate heads both operands' next-use lists"
+    );
+    let mut scores = MoveScores::default();
+    let key = |g: GateId| (dag.layer_of(g), g.0);
+    let mut last_layer = dag.layer_of(a[0]);
+    let (mut i, mut j) = (1, 1);
+    loop {
+        let gid = match (a.get(i), b.get(j)) {
+            (None, None) => break,
+            (Some(&x), Some(&y)) if x == y => {
+                i += 1;
+                j += 1;
+                x
+            }
+            (Some(&x), Some(&y)) if key(x) < key(y) => {
+                i += 1;
+                x
+            }
+            (Some(&x), None) => {
+                i += 1;
+                x
+            }
+            (_, Some(&y)) => {
+                j += 1;
+                y
+            }
+        };
+        let layer = dag.layer_of(gid);
+        if layer.saturating_sub(last_layer) > proximity {
+            break;
+        }
+        last_layer = layer;
+        let (x, y) = circuit
+            .gate(gid)
+            .two_qubit_operands()
+            .expect("next-use lists hold two-qubit gates");
+        score_gate(&mut scores, state, x, y, qa, qb, trap_a, trap_b);
+    }
+    scores
+}
+
+/// The queue walk behind [`move_scores`], and the positional
+/// [`ProximityMetric::Gates`] ablation's only implementation.
 ///
 /// Scanning walks `pending` past the active gate. A gate is *relevant* if
 /// it involves `qa` or `qb`. When the gap since the previous relevant gate
 /// (measured per `metric`) exceeds `proximity`, the scan stops and all
-/// later gates are excluded.
+/// later gates are excluded. Cost: O(proximity window) of `pending`,
+/// which on wide circuits is hundreds of gates per decision; under
+/// [`ProximityMetric::Layers`] it serves as the oracle that debug builds
+/// check every [`move_scores`] answer against.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn move_scores(
+pub(crate) fn move_scores_scan(
     circuit: &Circuit,
     dag: &DependencyDag,
     state: &MachineState,
@@ -245,20 +366,36 @@ pub(crate) fn move_scores(
         }
         last_pos = pos;
         last_layer = dag.layer_of(gid);
-        for (p, partner) in [(x, y), (y, x)] {
-            if p != qa && p != qb {
-                continue;
-            }
-            let partner_trap = state.trap_of(IonId::from(partner));
-            if partner_trap == trap_b {
-                scores.a_to_b += 1;
-            } else if partner_trap == trap_a {
-                scores.b_to_a += 1;
-            }
-            // Partners in third traps influence neither direction.
-        }
+        score_gate(&mut scores, state, x, y, qa, qb, trap_a, trap_b);
     }
     scores
+}
+
+/// Adds the relevant gate `(x, y)` to `scores`: each operand that is `qa`
+/// or `qb` pulls toward its partner's trap.
+#[allow(clippy::too_many_arguments)]
+fn score_gate(
+    scores: &mut MoveScores,
+    state: &MachineState,
+    x: Qubit,
+    y: Qubit,
+    qa: Qubit,
+    qb: Qubit,
+    trap_a: TrapId,
+    trap_b: TrapId,
+) {
+    for (p, partner) in [(x, y), (y, x)] {
+        if p != qa && p != qb {
+            continue;
+        }
+        let partner_trap = state.trap_of(IonId::from(partner));
+        if partner_trap == trap_b {
+            scores.a_to_b += 1;
+        } else if partner_trap == trap_a {
+            scores.b_to_a += 1;
+        }
+        // Partners in third traps influence neither direction.
+    }
 }
 
 #[cfg(test)]
@@ -267,47 +404,126 @@ mod tests {
     use qccd_circuit::Opcode;
     use qccd_machine::{InitialMapping, MachineSpec};
 
+    /// A decision scenario: the circuit, its DAG, the machine state, the
+    /// planned queue and the next-use index built from that queue.
+    struct Fixture {
+        c: Circuit,
+        dag: DependencyDag,
+        state: MachineState,
+        pending: VecDeque<GateId>,
+        index: NextUse,
+    }
+
+    impl Fixture {
+        fn new(c: Circuit, state: MachineState, pending: VecDeque<GateId>) -> Self {
+            let dag = c.dependency_dag();
+            let index = NextUse::new(&c, state.num_ions() as usize, pending.iter().copied());
+            Fixture {
+                c,
+                dag,
+                state,
+                pending,
+                index,
+            }
+        }
+
+        /// `pending` in the DAG's topological order.
+        fn topological(c: Circuit, state: MachineState) -> Self {
+            let pending = c.dependency_dag().topological_order().into();
+            Fixture::new(c, state, pending)
+        }
+
+        /// The §III-A scores of the front gate `(qa, qb)`: from the index
+        /// under the layer metric (asserted equal to the queue walk), from
+        /// the queue walk under the gate metric.
+        fn scores(&self, qa: u32, qb: u32, proximity: u32, metric: ProximityMetric) -> MoveScores {
+            let (qa, qb) = (Qubit(qa), Qubit(qb));
+            let (ta, tb) = (
+                self.state.trap_of(IonId::from(qa)),
+                self.state.trap_of(IonId::from(qb)),
+            );
+            let scan = move_scores_scan(
+                &self.c,
+                &self.dag,
+                &self.state,
+                &self.pending,
+                0,
+                qa,
+                qb,
+                ta,
+                tb,
+                proximity,
+                metric,
+            );
+            if metric == ProximityMetric::Gates {
+                return scan;
+            }
+            let indexed = move_scores(
+                &self.c,
+                &self.dag,
+                &self.state,
+                &self.index,
+                qa,
+                qb,
+                ta,
+                tb,
+                proximity,
+            );
+            assert_eq!(indexed, scan, "index and queue walk disagree");
+            indexed
+        }
+
+        /// The scheduler's decision for the front gate.
+        fn decide(&self, policy: DirectionPolicy) -> DirectionChoice {
+            decide_direction_indexed(
+                policy,
+                &self.c,
+                &self.dag,
+                &self.state,
+                &self.pending,
+                0,
+                &self.index,
+            )
+        }
+    }
+
+    fn state_of(spec: &MachineSpec, traps: &[u32]) -> MachineState {
+        let traps = traps.iter().map(|&t| TrapId(t)).collect();
+        let mapping = InitialMapping::from_traps(spec, traps).unwrap();
+        MachineState::with_mapping(spec, &mapping).unwrap()
+    }
+
     /// Builds the Fig. 4 scenario: 2 traps of capacity 4; ions 0,1 in T0;
     /// ions 2,3,4 in T1. Gates A-D.
-    fn fig4() -> (Circuit, DependencyDag, MachineState, VecDeque<GateId>) {
+    fn fig4() -> Fixture {
         let mut c = Circuit::new(5);
         c.push_two_qubit(Opcode::Ms, Qubit(1), Qubit(2)).unwrap(); // A
         c.push_two_qubit(Opcode::Ms, Qubit(2), Qubit(3)).unwrap(); // B
         c.push_two_qubit(Opcode::Ms, Qubit(1), Qubit(2)).unwrap(); // C
         c.push_two_qubit(Opcode::Ms, Qubit(2), Qubit(4)).unwrap(); // D
         let spec = MachineSpec::linear(2, 4, 1).unwrap();
-        let mapping = InitialMapping::from_traps(
-            &spec,
-            vec![TrapId(0), TrapId(0), TrapId(1), TrapId(1), TrapId(1)],
-        )
-        .unwrap();
-        let state = MachineState::with_mapping(&spec, &mapping).unwrap();
-        let dag = c.dependency_dag();
-        let pending: VecDeque<GateId> = (0..4).map(GateId).collect();
-        (c, dag, state, pending)
+        let state = state_of(&spec, &[0, 0, 1, 1, 1]);
+        Fixture::new(c, state, (0..4).map(GateId).collect())
+    }
+
+    /// A single cross-trap gate (1, 2) with no future gates, ions 0,1 in
+    /// T0 and 2,3,4 in T1: EC(T0)=2 > EC(T1)=1.
+    fn lone_gate() -> Fixture {
+        let mut c = Circuit::new(5);
+        c.push_two_qubit(Opcode::Ms, Qubit(1), Qubit(2)).unwrap();
+        let spec = MachineSpec::linear(2, 4, 1).unwrap();
+        let state = state_of(&spec, &[0, 0, 1, 1, 1]);
+        Fixture::new(c, state, [GateId(0)].into_iter().collect())
     }
 
     #[test]
     fn paper_table1_move_score() {
         // Table I: ionA=1, ionB=2, trapA=T0, trapB=T1.
         // ionA(A→B) = 3 (Gate-C + Gates B,D), ionB(B→A) = 1 (Gate-C).
-        let (c, dag, state, pending) = fig4();
+        let fx = fig4();
         for metric in [ProximityMetric::Layers, ProximityMetric::Gates] {
-            let scores = move_scores(
-                &c,
-                &dag,
-                &state,
-                &pending,
-                0,
-                Qubit(1),
-                Qubit(2),
-                TrapId(0),
-                TrapId(1),
-                6,
-                metric,
-            );
             assert_eq!(
-                scores,
+                fx.scores(1, 2, 6, metric),
                 MoveScores {
                     a_to_b: 3,
                     b_to_a: 1
@@ -320,35 +536,28 @@ mod tests {
     #[test]
     fn future_ops_moves_ion1_to_t1() {
         // §III-A2: "ionA = 1 will move from trapA (T0) to trapB (T1)".
-        let (c, dag, state, pending) = fig4();
-        let d = decide_direction(
-            DirectionPolicy::FutureOps { proximity: 6 },
-            &c,
-            &dag,
-            &state,
-            &pending,
-            0,
-        );
-        assert_eq!(
-            d,
-            MoveDecision {
-                ion: IonId(1),
-                from: TrapId(0),
-                to: TrapId(1)
-            }
-        );
+        let fx = fig4();
+        let expected = MoveDecision {
+            ion: IonId(1),
+            from: TrapId(0),
+            to: TrapId(1),
+        };
+        let policy = DirectionPolicy::FutureOps { proximity: 6 };
+        assert_eq!(fx.decide(policy).decision, expected);
+        let public = decide_direction(policy, &fx.c, &fx.dag, &fx.state, &fx.pending, 0);
+        assert_eq!(public, expected);
     }
 
     #[test]
     fn excess_capacity_moves_ion2_to_t0() {
         // Fig. 4: EC(T0)=2 > EC(T1)=1, so the baseline moves ion 2 into T0.
-        let (c, dag, state, pending) = fig4();
+        let fx = fig4();
         let d = decide_direction(
             DirectionPolicy::ExcessCapacity,
-            &c,
-            &dag,
-            &state,
-            &pending,
+            &fx.c,
+            &fx.dag,
+            &fx.state,
+            &fx.pending,
             0,
         );
         assert_eq!(
@@ -367,27 +576,19 @@ mod tests {
         c.push_two_qubit(Opcode::Ms, Qubit(0), Qubit(2)).unwrap();
         let spec = MachineSpec::linear(2, 4, 1).unwrap();
         // 2 ions per trap: equal ECs.
-        let mapping =
-            InitialMapping::from_traps(&spec, vec![TrapId(0), TrapId(0), TrapId(1), TrapId(1)])
-                .unwrap();
-        let state = MachineState::with_mapping(&spec, &mapping).unwrap();
-        let dag = c.dependency_dag();
-        let pending: VecDeque<GateId> = [GateId(0)].into_iter().collect();
-        let d = decide_direction(
-            DirectionPolicy::ExcessCapacity,
-            &c,
-            &dag,
-            &state,
-            &pending,
-            0,
+        let fx = Fixture::new(
+            c,
+            state_of(&spec, &[0, 0, 1, 1]),
+            [GateId(0)].into_iter().collect(),
         );
+        let d = fx.decide(DirectionPolicy::ExcessCapacity).decision;
         assert_eq!(d.ion, IonId(0), "tie moves the gate's first ion");
         assert_eq!(d.to, TrapId(1));
     }
 
     /// Builds the Fig. 5 scenario: relevant gates 1 and 3 are close; gate
     /// 11 is separated from gate 3 by a 7-gate (and 7-layer) filler chain.
-    fn fig5() -> (Circuit, DependencyDag, MachineState, VecDeque<GateId>) {
+    fn fig5() -> Fixture {
         let mut c = Circuit::new(10);
         let (a, b, cc, d) = (Qubit(0), Qubit(1), Qubit(2), Qubit(3));
         c.push_two_qubit(Opcode::Ms, a, b).unwrap(); // 1 (active)
@@ -404,51 +605,23 @@ mod tests {
         c.push_two_qubit(Opcode::Ms, Qubit(9), d).unwrap(); // chains d deep
         c.push_two_qubit(Opcode::Ms, b, d).unwrap(); // "gate 11" relevant but distant
         let spec = MachineSpec::linear(2, 8, 2).unwrap();
-        let mapping = InitialMapping::from_traps(
-            &spec,
-            vec![
-                TrapId(0), // a
-                TrapId(1), // b
-                TrapId(1), // c  (so gate 3 counts toward a_to_b)
-                TrapId(1), // d  (gate 11 would also count toward a_to_b)
-                TrapId(0),
-                TrapId(0),
-                TrapId(0),
-                TrapId(1),
-                TrapId(1),
-                TrapId(0),
-            ],
-        )
-        .unwrap();
-        let state = MachineState::with_mapping(&spec, &mapping).unwrap();
-        let dag = c.dependency_dag();
-        let pending: VecDeque<GateId> = dag.topological_order().into();
+        // a in T0; b, c (gate 3 counts toward a_to_b) and d (gate 11 would
+        // also count toward a_to_b) in T1.
+        let state = state_of(&spec, &[0, 1, 1, 1, 0, 0, 0, 1, 1, 0]);
+        let fx = Fixture::topological(c, state);
         // The active gate (a,b) must be at the front for the scan.
-        assert_eq!(pending[0], GateId(0));
-        (c, dag, state, pending)
+        assert_eq!(fx.pending[0], GateId(0));
+        fx
     }
 
     #[test]
     fn proximity_excludes_distant_gates_both_metrics() {
         // Fig. 5: gate 3 is close (considered); the late (b,d) gate is
         // beyond the proximity-6 horizon under both metrics.
-        let (c, dag, state, pending) = fig5();
+        let fx = fig5();
         for metric in [ProximityMetric::Layers, ProximityMetric::Gates] {
-            let near = move_scores(
-                &c,
-                &dag,
-                &state,
-                &pending,
-                0,
-                Qubit(0),
-                Qubit(1),
-                TrapId(0),
-                TrapId(1),
-                6,
-                metric,
-            );
             assert_eq!(
-                near,
+                fx.scores(0, 1, 6, metric),
                 MoveScores {
                     a_to_b: 1,
                     b_to_a: 0
@@ -456,21 +629,8 @@ mod tests {
                 "only gate 3 counts under {metric:?}"
             );
             // A generous proximity includes the distant gate too.
-            let far = move_scores(
-                &c,
-                &dag,
-                &state,
-                &pending,
-                0,
-                Qubit(0),
-                Qubit(1),
-                TrapId(0),
-                TrapId(1),
-                50,
-                metric,
-            );
             assert_eq!(
-                far,
+                fx.scores(0, 1, 50, metric),
                 MoveScores {
                     a_to_b: 2,
                     b_to_a: 0
@@ -496,57 +656,19 @@ mod tests {
         c.push_two_qubit(Opcode::Ms, Qubit(0), Qubit(2)).unwrap(); // relevant, layer 1
         let spec = MachineSpec::linear(2, 60, 2).unwrap();
         // Qubits 1 and 2 live in T1; qubit 0 and all fillers in T0.
-        let traps: Vec<TrapId> = (0..46)
-            .map(|q| {
-                if q == 1 || q == 2 {
-                    TrapId(1)
-                } else {
-                    TrapId(0)
-                }
-            })
-            .collect();
-        let mapping = InitialMapping::from_traps(&spec, traps).unwrap();
-        let state = MachineState::with_mapping(&spec, &mapping).unwrap();
-        let dag = c.dependency_dag();
-        let pending: VecDeque<GateId> = dag.topological_order().into();
-        assert_eq!(pending[0], GateId(0));
+        let traps: Vec<u32> = (0..46).map(|q| u32::from(q == 1 || q == 2)).collect();
+        let fx = Fixture::topological(c, state_of(&spec, &traps));
+        assert_eq!(fx.pending[0], GateId(0));
 
-        let layers = move_scores(
-            &c,
-            &dag,
-            &state,
-            &pending,
-            0,
-            Qubit(0),
-            Qubit(1),
-            TrapId(0),
-            TrapId(1),
-            6,
-            ProximityMetric::Layers,
-        );
         assert_eq!(
-            layers,
+            fx.scores(0, 1, 6, ProximityMetric::Layers),
             MoveScores {
                 a_to_b: 1,
                 b_to_a: 0
             }
         );
-
-        let gates = move_scores(
-            &c,
-            &dag,
-            &state,
-            &pending,
-            0,
-            Qubit(0),
-            Qubit(1),
-            TrapId(0),
-            TrapId(1),
-            6,
-            ProximityMetric::Gates,
-        );
         assert_eq!(
-            gates,
+            fx.scores(0, 1, 6, ProximityMetric::Gates),
             MoveScores::default(),
             "literal gate distance discards the relevant gate behind 20 fillers"
         );
@@ -555,25 +677,10 @@ mod tests {
     #[test]
     fn tie_falls_back_to_excess_capacity() {
         // No future gates at all: scores tie at 0; EC rule must decide.
-        let mut c = Circuit::new(5);
-        c.push_two_qubit(Opcode::Ms, Qubit(1), Qubit(2)).unwrap();
-        let spec = MachineSpec::linear(2, 4, 1).unwrap();
-        let mapping = InitialMapping::from_traps(
-            &spec,
-            vec![TrapId(0), TrapId(0), TrapId(1), TrapId(1), TrapId(1)],
-        )
-        .unwrap();
-        let state = MachineState::with_mapping(&spec, &mapping).unwrap();
-        let dag = c.dependency_dag();
-        let pending: VecDeque<GateId> = [GateId(0)].into_iter().collect();
-        let d = decide_direction(
-            DirectionPolicy::FutureOps { proximity: 6 },
-            &c,
-            &dag,
-            &state,
-            &pending,
-            0,
-        );
+        let fx = lone_gate();
+        let d = fx
+            .decide(DirectionPolicy::FutureOps { proximity: 6 })
+            .decision;
         // EC(T0)=2 > EC(T1)=1: move ion 2 into T0 (same as baseline test).
         assert_eq!(d.ion, IonId(2));
     }
@@ -582,24 +689,18 @@ mod tests {
     fn open_ties_surface_both_orientations() {
         // No future gates: the scores tie, so the decision is open and the
         // alternative is the opposite orientation of the EC choice.
-        let mut c = Circuit::new(5);
-        c.push_two_qubit(Opcode::Ms, Qubit(1), Qubit(2)).unwrap();
-        let spec = MachineSpec::linear(2, 4, 1).unwrap();
-        let mapping = InitialMapping::from_traps(
-            &spec,
-            vec![TrapId(0), TrapId(0), TrapId(1), TrapId(1), TrapId(1)],
-        )
-        .unwrap();
-        let state = MachineState::with_mapping(&spec, &mapping).unwrap();
-        let dag = c.dependency_dag();
-        let pending: VecDeque<GateId> = [GateId(0)].into_iter().collect();
+        let fx = lone_gate();
         let choice = decide_direction_open(
             DirectionPolicy::FutureOps { proximity: 6 },
-            &c,
-            &dag,
-            &state,
-            &pending,
+            &fx.c,
+            &fx.dag,
+            &fx.state,
+            &fx.pending,
             0,
+        );
+        assert_eq!(
+            choice,
+            fx.decide(DirectionPolicy::FutureOps { proximity: 6 })
         );
         let alt = choice.alternative.expect("scoreless gate ties");
         assert_ne!(choice.decision.ion, alt.ion);
@@ -608,24 +709,10 @@ mod tests {
 
         // A decisive score (the Fig. 4 setup) surfaces no alternative, and
         // the EC policy never does.
-        let (c, dag, state, pending) = fig4();
-        let decisive = decide_direction_open(
-            DirectionPolicy::FutureOps { proximity: 6 },
-            &c,
-            &dag,
-            &state,
-            &pending,
-            0,
-        );
+        let fx = fig4();
+        let decisive = fx.decide(DirectionPolicy::FutureOps { proximity: 6 });
         assert_eq!(decisive.alternative, None);
-        let ec = decide_direction_open(
-            DirectionPolicy::ExcessCapacity,
-            &c,
-            &dag,
-            &state,
-            &pending,
-            0,
-        );
+        let ec = fx.decide(DirectionPolicy::ExcessCapacity);
         assert_eq!(ec.alternative, None);
     }
 
@@ -635,35 +722,12 @@ mod tests {
         c.push_two_qubit(Opcode::Ms, Qubit(0), Qubit(1)).unwrap(); // active
         c.push_two_qubit(Opcode::Ms, Qubit(0), Qubit(5)).unwrap(); // partner in T2
         let spec = MachineSpec::linear(3, 4, 1).unwrap();
-        let mapping = InitialMapping::from_traps(
-            &spec,
-            vec![
-                TrapId(0),
-                TrapId(1),
-                TrapId(0),
-                TrapId(1),
-                TrapId(2),
-                TrapId(2),
-            ],
-        )
-        .unwrap();
-        let state = MachineState::with_mapping(&spec, &mapping).unwrap();
-        let dag = c.dependency_dag();
-        let pending: VecDeque<GateId> = (0..2).map(GateId).collect();
-        let s = move_scores(
-            &c,
-            &dag,
-            &state,
-            &pending,
-            0,
-            Qubit(0),
-            Qubit(1),
-            TrapId(0),
-            TrapId(1),
-            6,
-            ProximityMetric::Layers,
+        let state = state_of(&spec, &[0, 1, 0, 1, 2, 2]);
+        let fx = Fixture::new(c, state, (0..2).map(GateId).collect());
+        assert_eq!(
+            fx.scores(0, 1, 6, ProximityMetric::Layers),
+            MoveScores::default()
         );
-        assert_eq!(s, MoveScores::default());
     }
 
     #[test]

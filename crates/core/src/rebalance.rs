@@ -6,9 +6,13 @@
 //! destination, max-score ion selection.
 
 use crate::config::{IonSelection, RebalancePolicy};
-use qccd_circuit::{Circuit, GateId};
+use crate::next_use::NextUse;
+use qccd_circuit::Circuit;
+#[cfg(any(test, debug_assertions))]
+use qccd_circuit::GateId;
 use qccd_flow::{min_cost_max_flow, FlowNetwork};
 use qccd_machine::{IonId, MachineState, TrapId, TrapTopology};
+#[cfg(any(test, debug_assertions))]
 use std::collections::VecDeque;
 
 /// Picks the destination trap for an ion evicted from `blocked`.
@@ -81,12 +85,47 @@ pub(crate) fn destination_candidates(
 
 /// Picks which ion leaves `blocked` toward `dest`.
 ///
-/// `pending` is the planned order of unexecuted gates — the max-score
-/// heuristic counts each candidate ion's remaining gates whose partner sits
-/// in the destination vs. the source trap (§III-C2). Ions in `keep` are
-/// never evicted (the scheduler protects gate operands this way).
-/// Returns `None` if every ion in the trap is protected.
+/// The max-score heuristic (§III-C2) counts each candidate ion's remaining
+/// gates whose partner sits in the destination (pull) vs. the source trap
+/// (anchor). It reads each candidate's list in `next_use` and the traps of
+/// the partners in `state`, so it costs O(remaining gates of the
+/// candidates) and allocates nothing; chain-end selection reads only the
+/// chain. Ions in `keep` are never evicted (the scheduler protects gate
+/// operands this way). Returns `None` if every ion in the trap is
+/// protected.
 pub(crate) fn choose_ion(
+    selection: IonSelection,
+    circuit: &Circuit,
+    state: &MachineState,
+    next_use: &NextUse,
+    blocked: TrapId,
+    dest: TrapId,
+    keep: &[IonId],
+) -> Option<IonId> {
+    pick_ion(selection, state, blocked, keep, |ion| {
+        let (mut pull, mut anchor) = (0u32, 0u32);
+        for &gid in next_use.remaining(ion) {
+            let (x, y) = circuit
+                .gate(gid)
+                .two_qubit_operands()
+                .expect("next-use lists hold two-qubit gates");
+            let partner = if IonId::from(x) == ion { y } else { x };
+            let pt = state.trap_of(IonId::from(partner));
+            if pt == dest {
+                pull += 1;
+            } else if pt == blocked {
+                anchor += 1;
+            }
+        }
+        (pull, anchor)
+    })
+}
+
+/// [`choose_ion`] by one pass over the whole pending queue, with two
+/// `num_ions`-sized count arrays: the oracle that debug builds check every
+/// indexed answer against.
+#[cfg(any(test, debug_assertions))]
+pub(crate) fn choose_ion_scan(
     selection: IonSelection,
     circuit: &Circuit,
     state: &MachineState,
@@ -95,45 +134,52 @@ pub(crate) fn choose_ion(
     dest: TrapId,
     keep: &[IonId],
 ) -> Option<IonId> {
-    let chain = state.chain(blocked);
-    let candidates: Vec<IonId> = chain
+    let mut dest_count = vec![0u32; state.num_ions() as usize];
+    let mut src_count = vec![0u32; state.num_ions() as usize];
+    for &gid in pending {
+        let Some((x, y)) = circuit.gate(gid).two_qubit_operands() else {
+            continue;
+        };
+        let (ix, iy) = (IonId::from(x), IonId::from(y));
+        for (ion, partner) in [(ix, iy), (iy, ix)] {
+            if state.trap_of(ion) != blocked {
+                continue;
+            }
+            let pt = state.trap_of(partner);
+            if pt == dest {
+                dest_count[ion.index()] += 1;
+            } else if pt == blocked {
+                src_count[ion.index()] += 1;
+            }
+        }
+    }
+    pick_ion(selection, state, blocked, keep, |ion| {
+        (dest_count[ion.index()], src_count[ion.index()])
+    })
+}
+
+/// The selection rule over the non-kept ions of `blocked`'s chain, given
+/// each candidate's (pull, anchor) gate counts.
+fn pick_ion(
+    selection: IonSelection,
+    state: &MachineState,
+    blocked: TrapId,
+    keep: &[IonId],
+    counts: impl Fn(IonId) -> (u32, u32),
+) -> Option<IonId> {
+    let mut candidates = state
+        .chain(blocked)
         .iter()
         .copied()
-        .filter(|i| !keep.contains(i))
-        .collect();
-    if candidates.is_empty() {
-        return None;
-    }
+        .filter(|i| !keep.contains(i));
     match selection {
         // Baseline: the chain-end ion is the cheapest split.
-        IonSelection::ChainEnd => candidates.last().copied(),
+        IonSelection::ChainEnd => candidates.next_back(),
         IonSelection::MaxScore { wd, ws } => {
-            // One pass over the remaining gates accumulating, for every ion
-            // currently in `blocked`, how many of its gates have a partner
-            // in `dest` (pull) vs. in `blocked` (anchor).
-            let mut dest_count = vec![0u32; state.num_ions() as usize];
-            let mut src_count = vec![0u32; state.num_ions() as usize];
-            for &gid in pending {
-                let Some((x, y)) = circuit.gate(gid).two_qubit_operands() else {
-                    continue;
-                };
-                let (ix, iy) = (IonId::from(x), IonId::from(y));
-                for (ion, partner) in [(ix, iy), (iy, ix)] {
-                    if state.trap_of(ion) != blocked {
-                        continue;
-                    }
-                    let pt = state.trap_of(partner);
-                    if pt == dest {
-                        dest_count[ion.index()] += 1;
-                    } else if pt == blocked {
-                        src_count[ion.index()] += 1;
-                    }
-                }
-            }
             let score = |ion: IonId| -> f64 {
-                let d = f64::from(dest_count[ion.index()]);
-                let s = f64::from(src_count[ion.index()]);
-                if dest_count[ion.index()] == src_count[ion.index()] {
+                let (pull, anchor) = counts(ion);
+                let (d, s) = (f64::from(pull), f64::from(anchor));
+                if pull == anchor {
                     // §III-C2: equal counts shift weights to 0.49/0.51 so
                     // the score cannot be zero.
                     0.49 * d - 0.51 * s
@@ -143,16 +189,15 @@ pub(crate) fn choose_ion(
             };
             // Highest score wins; ties break toward the chain end (cheaper
             // split), i.e. the *last* maximal candidate in chain order.
-            let mut best = candidates[0];
-            let mut best_score = score(best);
-            for &ion in &candidates[1..] {
+            let first = candidates.next()?;
+            let mut best = (first, score(first));
+            for ion in candidates {
                 let s = score(ion);
-                if s >= best_score {
-                    best = ion;
-                    best_score = s;
+                if s >= best.1 {
+                    best = (ion, s);
                 }
             }
-            Some(best)
+            Some(best.0)
         }
     }
 }
@@ -221,6 +266,24 @@ mod tests {
     use super::*;
     use qccd_circuit::{Opcode, Qubit};
     use qccd_machine::{InitialMapping, MachineSpec, MachineState};
+
+    /// [`choose_ion`] over a next-use index built from `pending`, asserted
+    /// equal to the queue scan.
+    fn pick(
+        selection: IonSelection,
+        c: &Circuit,
+        state: &MachineState,
+        pending: &VecDeque<GateId>,
+        blocked: TrapId,
+        dest: TrapId,
+        keep: &[IonId],
+    ) -> Option<IonId> {
+        let index = NextUse::new(c, state.num_ions() as usize, pending.iter().copied());
+        let ion = choose_ion(selection, c, state, &index, blocked, dest, keep);
+        let scan = choose_ion_scan(selection, c, state, pending, blocked, dest, keep);
+        assert_eq!(ion, scan, "index and queue scan disagree");
+        ion
+    }
 
     /// Fig. 7 scenario: L6, T4 full, excess capacities
     /// T0=2, T1=1, T2=4, T3=2, T4=0, T5=5.
@@ -335,7 +398,7 @@ mod tests {
         let c = Circuit::new(4);
         let pending = VecDeque::new();
         // T0 chain = [0, 1, 2]; keep ion 2 → pick ion 1.
-        let ion = choose_ion(
+        let ion = pick(
             IonSelection::ChainEnd,
             &c,
             &state,
@@ -361,7 +424,7 @@ mod tests {
                 .unwrap();
         let state = MachineState::with_mapping(&spec, &mapping).unwrap();
         let pending: VecDeque<GateId> = (0..3).map(GateId).collect();
-        let ion = choose_ion(
+        let ion = pick(
             IonSelection::MaxScore { wd: 0.5, ws: 0.5 },
             &c,
             &state,
@@ -386,7 +449,7 @@ mod tests {
                 .unwrap();
         let state = MachineState::with_mapping(&spec, &mapping).unwrap();
         let pending: VecDeque<GateId> = (0..3).map(GateId).collect();
-        let ion = choose_ion(
+        let ion = pick(
             IonSelection::MaxScore { wd: 0.5, ws: 0.5 },
             &c,
             &state,
@@ -409,7 +472,7 @@ mod tests {
         let c = Circuit::new(2);
         let pending = VecDeque::new();
         assert_eq!(
-            choose_ion(
+            pick(
                 IonSelection::ChainEnd,
                 &c,
                 &state,

@@ -4,8 +4,9 @@
 use crate::config::{CompilerConfig, Objective, RebalancePolicy};
 use crate::error::CompileError;
 use crate::mapping::initial_mapping;
+use crate::next_use::NextUse;
 use crate::objective::{edge_weight, ClockScorer};
-use crate::policies::{decide_direction, decide_direction_open, MoveDecision};
+use crate::policies::{decide_direction_indexed, DirectionChoice, MoveDecision};
 use crate::rebalance::{choose_destination, choose_ion, destination_candidates, eviction_route};
 use crate::stats::CompileStats;
 use qccd_circuit::{Circuit, DependencyDag, GateId, GateQubits, ReadySet};
@@ -141,6 +142,11 @@ pub fn compile_with_mapping(
     let dag = circuit.dependency_dag();
     let ready = dag.ready_set();
     let pending: VecDeque<GateId> = dag.topological_order().into();
+    let next_use = NextUse::new(
+        circuit,
+        state.num_ions() as usize,
+        circuit.gates().iter().map(|g| g.id),
+    );
     let clock = match config.objective {
         Objective::Shuttles => None,
         // The clock objective threads the transport-less lowering fold
@@ -160,6 +166,7 @@ pub fn compile_with_mapping(
         edge_load: EdgeLoad::new(spec.num_traps()),
         state,
         pending,
+        next_use,
         ops: Vec::with_capacity(circuit.len() * 2),
         stats: CompileStats::default(),
         in_rebalance: false,
@@ -223,6 +230,10 @@ struct Scheduler<'a> {
     /// Always a subsequence of the initial (layer, id)-sorted topological
     /// order, so layers are non-decreasing along the queue.
     pending: VecDeque<GateId>,
+    /// Every ion's unexecuted two-qubit gates, advanced with `ready`: the
+    /// §III-A move scores and §III-C2 ion selection read it instead of
+    /// walking `pending`.
+    next_use: NextUse,
     ops: Vec<Operation>,
     stats: CompileStats,
     /// Set while shuttles belong to a re-balancing eviction, for stats.
@@ -327,6 +338,7 @@ impl Scheduler<'_> {
         // the recent past should price routes.
         self.edge_load.decay();
         self.ready.mark_done(&self.dag, gate_id);
+        self.next_use.advance(self.circuit, gate_id);
         self.pending.remove(pos);
         Ok(())
     }
@@ -405,14 +417,7 @@ impl Scheduler<'_> {
     /// deterministic.
     fn decide(&mut self, pos: usize) -> MoveDecision {
         let _phase = qccd_obs::span("direction-scan");
-        let choice = decide_direction_open(
-            self.config.direction,
-            self.circuit,
-            &self.dag,
-            &self.state,
-            &self.pending,
-            pos,
-        );
+        let choice = self.direction(pos);
         let (Some(alt), Some(clock)) = (choice.alternative, self.clock.as_mut()) else {
             return choice.decision;
         };
@@ -524,14 +529,7 @@ impl Scheduler<'_> {
             {
                 continue;
             }
-            let d = decide_direction(
-                self.config.direction,
-                self.circuit,
-                &self.dag,
-                &self.state,
-                &self.pending,
-                p,
-            );
+            let d = self.direction(p).decision;
             if self.state.is_full(d.to) {
                 continue;
             }
@@ -803,16 +801,9 @@ impl Scheduler<'_> {
                 (dest, None)
             }
         };
-        let ion = choose_ion(
-            self.config.ion_selection,
-            self.circuit,
-            &self.state,
-            &self.pending,
-            blocked,
-            dest,
-            keep,
-        )
-        .ok_or(CompileError::ShuttleDeadlock { trap: blocked })?;
+        let ion = self
+            .choose_ion(blocked, dest, keep)
+            .ok_or(CompileError::ShuttleDeadlock { trap: blocked })?;
         let route = match priced_route {
             Some(route) => route,
             None => eviction_route(
@@ -845,23 +836,21 @@ impl Scheduler<'_> {
         keep: &[IonId],
         avoid: &[TrapId],
     ) -> Option<(TrapId, Vec<TrapId>)> {
-        let clock = self.clock.as_mut()?;
+        self.clock.as_ref()?;
         let candidates = destination_candidates(self.config.rebalance, &self.state, blocked, avoid);
         if candidates.len() < 2 {
             return None;
         }
+        // Whether an ion is selectable depends only on `blocked` and
+        // `keep`, so either every candidate has one or none does.
+        let ions: Vec<IonId> = candidates
+            .iter()
+            .map(|&dest| self.choose_ion(blocked, dest, keep))
+            .collect::<Option<_>>()?;
+        let clock = self.clock.as_mut()?;
         let topology = self.state.spec().topology();
         let mut best: Option<(f64, TrapId, Vec<TrapId>)> = None;
-        for dest in candidates {
-            let ion = choose_ion(
-                self.config.ion_selection,
-                self.circuit,
-                &self.state,
-                &self.pending,
-                blocked,
-                dest,
-                keep,
-            )?;
+        for (dest, ion) in candidates.into_iter().zip(ions) {
             let route = topology
                 .shortest_path_filtered(blocked, dest, |t| t == dest || !self.state.is_full(t))
                 .or_else(|| eviction_route(self.config.rebalance, topology, blocked, dest))?;
@@ -910,16 +899,9 @@ impl Scheduler<'_> {
                         if !self.state.is_full(route[j]) || self.state.is_full(route[j + 1]) {
                             continue;
                         }
-                        let shifted = choose_ion(
-                            self.config.ion_selection,
-                            self.circuit,
-                            &self.state,
-                            &self.pending,
-                            route[j],
-                            route[j + 1],
-                            &keep_all,
-                        )
-                        .ok_or(CompileError::ShuttleDeadlock { trap: route[j] })?;
+                        let shifted = self
+                            .choose_ion(route[j], route[j + 1], &keep_all)
+                            .ok_or(CompileError::ShuttleDeadlock { trap: route[j] })?;
                         self.hop(shifted, route[j + 1])?;
                         hops += 1;
                     }
@@ -955,6 +937,51 @@ impl Scheduler<'_> {
     /// scan, keeping both linear in compile time.
     const REORDER_WINDOW: usize = 128;
 
+    /// The configured §III-A policy's direction for the ready cross-trap
+    /// gate at `pending[pos]`, read from the next-use index.
+    fn direction(&self, pos: usize) -> DirectionChoice {
+        decide_direction_indexed(
+            self.config.direction,
+            self.circuit,
+            &self.dag,
+            &self.state,
+            &self.pending,
+            pos,
+            &self.next_use,
+        )
+    }
+
+    /// The configured §III-C2 ion to evict from `blocked` toward `dest`,
+    /// read from the next-use index (debug builds check it against the
+    /// whole-queue scan).
+    fn choose_ion(&self, blocked: TrapId, dest: TrapId, keep: &[IonId]) -> Option<IonId> {
+        let selection = self.config.ion_selection;
+        let ion = choose_ion(
+            selection,
+            self.circuit,
+            &self.state,
+            &self.next_use,
+            blocked,
+            dest,
+            keep,
+        );
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            ion,
+            crate::rebalance::choose_ion_scan(
+                selection,
+                self.circuit,
+                &self.state,
+                &self.pending,
+                blocked,
+                dest,
+                keep,
+            ),
+            "indexed §III-C2 ion selection diverged"
+        );
+        ion
+    }
+
     /// Algorithm 1 (generalised): find a pending, ready gate near the
     /// active gate whose favourable shuttle direction moves an ion *out of*
     /// `old_destination`, freeing a slot there. Returns its position in
@@ -963,6 +990,7 @@ impl Scheduler<'_> {
     /// layer (serial circuits have singleton layers and would never find a
     /// candidate); the window bounds compile time.
     fn find_reorder_candidate(&self, active_pos: usize, old_destination: TrapId) -> Option<usize> {
+        let _phase = qccd_obs::span("reorder-scan");
         let end = (active_pos + 1 + Self::REORDER_WINDOW).min(self.pending.len());
         for pos in (active_pos + 1)..end {
             let gid = self.pending[pos];
@@ -976,14 +1004,7 @@ impl Scheduler<'_> {
             if self.state.trap_of(ia) == self.state.trap_of(ib) {
                 continue; // local gate frees nothing
             }
-            let dir = decide_direction(
-                self.config.direction,
-                self.circuit,
-                &self.dag,
-                &self.state,
-                &self.pending,
-                pos,
-            );
+            let dir = self.direction(pos).decision;
             if dir.from == old_destination && !self.state.is_full(dir.to) {
                 return Some(pos);
             }

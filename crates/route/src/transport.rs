@@ -317,6 +317,7 @@ impl TransportSchedule {
         schedule: &Schedule,
         spec: &MachineSpec,
     ) -> Result<(), TransportError> {
+        let _phase = qccd_obs::span("transport-validate");
         let mut state = MachineState::with_mapping(spec, &schedule.initial_mapping)
             .map_err(TransportError::Machine)?;
         let mut serial = state.clone();
@@ -393,9 +394,16 @@ impl TransportSchedule {
     ///
     /// The first violated rule, as a [`TransportError`].
     pub fn validate(&self, schedule: &Schedule, spec: &MachineSpec) -> Result<(), TransportError> {
+        let _phase = qccd_obs::span("transport-validate");
         let mut state = MachineState::with_mapping(spec, &schedule.initial_mapping)
             .map_err(TransportError::Machine)?;
         let mut serial = state.clone();
+        // Both operands are O(n) walks: build the error only when it is
+        // returned, never once per shuttle.
+        let count_mismatch = || TransportError::MoveCountMismatch {
+            rounds: self.num_moves(),
+            schedule: schedule.stats().shuttles,
+        };
         let mut round_idx = 0usize;
         let mut pos = 0usize;
         for (op_index, op) in schedule.operations.iter().enumerate() {
@@ -407,13 +415,7 @@ impl TransportSchedule {
                 }
                 Operation::Shuttle { ion, from, to } => {
                     let expected = ShuttleMove { ion, from, to };
-                    let round =
-                        self.rounds
-                            .get(round_idx)
-                            .ok_or(TransportError::MoveCountMismatch {
-                                rounds: self.num_moves(),
-                                schedule: schedule.stats().shuttles,
-                            })?;
+                    let round = self.rounds.get(round_idx).ok_or_else(count_mismatch)?;
                     if round.moves.get(pos) != Some(&expected) {
                         return Err(TransportError::MoveMismatch { op_index });
                     }
@@ -430,10 +432,7 @@ impl TransportSchedule {
             }
         }
         if pos != 0 || round_idx != self.rounds.len() {
-            return Err(TransportError::MoveCountMismatch {
-                rounds: self.num_moves(),
-                schedule: schedule.stats().shuttles,
-            });
+            return Err(count_mismatch());
         }
         for ion in 0..state.num_ions() {
             let ion = qccd_machine::IonId(ion);
@@ -731,6 +730,34 @@ mod tests {
             t.validate(&schedule, &spec).unwrap_err(),
             TransportError::MoveMismatch { op_index: 0 }
         );
+    }
+
+    /// `validate` must stay linear in the schedule length; building its
+    /// `MoveCountMismatch` error (two O(n) walks) on every shuttle makes
+    /// it quadratic. A ratio of the fastest of three timings is
+    /// machine-independent, unlike a wall-clock bound: 4x the hops takes
+    /// ~4x the time when linear and ~16x when quadratic.
+    #[test]
+    fn validate_is_linear_in_schedule_length() {
+        let spec = MachineSpec::linear(2, 4, 1).unwrap();
+        let mapping = InitialMapping::from_traps(&spec, vec![TrapId(0)]).unwrap();
+        let fastest_validate = |hops: u32| {
+            // A gate-free ping-pong of one ion between T0 and T1.
+            let ops = (0..hops).map(|i| sh(0, i % 2, 1 - i % 2)).collect();
+            let schedule = Schedule::new(mapping.clone(), ops);
+            let transport = TransportSchedule::pack_serial(&schedule);
+            (0..3)
+                .map(|_| {
+                    let start = std::time::Instant::now();
+                    transport.validate(&schedule, &spec).unwrap();
+                    start.elapsed()
+                })
+                .min()
+                .unwrap()
+        };
+        let n = 20_000;
+        let ratio = fastest_validate(4 * n).as_secs_f64() / fastest_validate(n).as_secs_f64();
+        assert!(ratio < 8.0, "4x the hops took {ratio:.1}x the time");
     }
 
     #[test]

@@ -156,3 +156,29 @@ fn ring_and_grid_topologies_compile() {
         }
     }
 }
+
+/// `--profile` attributes the §III-B candidate scan and transport
+/// validation to spans of their own, and recording them decides nothing.
+#[test]
+fn profile_attributes_reorder_scan_and_transport_validation() {
+    use muzzle_shuttle::obs;
+    let circuit = random_circuit(18, 200, 9);
+    let spec = MachineSpec::linear(3, 8, 2).unwrap();
+    let config = CompilerConfig::optimized();
+    let plain = compile(&circuit, &spec, &config).unwrap();
+    obs::reset();
+    obs::enable();
+    let traced = compile(&circuit, &spec, &config).unwrap();
+    obs::disable();
+    let phases: Vec<String> = obs::phase_stats().into_iter().map(|p| p.name).collect();
+    for phase in ["reorder-scan", "transport-validate"] {
+        assert!(
+            phases.iter().any(|p| p == phase),
+            "no {phase} span in {phases:?}"
+        );
+    }
+    assert!(traced.stats.reorders > 0, "the scan hoisted nothing");
+    assert_eq!(traced.schedule, plain.schedule);
+    assert_eq!(traced.transport, plain.transport);
+    assert_eq!(traced.stats, plain.stats);
+}

@@ -8,7 +8,9 @@ use muzzle_shuttle::compiler::{
     compile, CompilerConfig, DirectionPolicy, IonSelection, MappingPolicy, RebalancePolicy,
     RouterPolicy,
 };
-use muzzle_shuttle::machine::{InitialMapping, IonId, MachineSpec, MachineState, TrapId};
+use muzzle_shuttle::machine::{
+    InitialMapping, IonId, MachineSpec, MachineState, TrapId, TrapTopology,
+};
 use muzzle_shuttle::sim::{simulate, simulate_traced, SimParams};
 use proptest::prelude::*;
 
@@ -76,6 +78,36 @@ proptest! {
         prop_assert!(result.schedule.validate(&circuit, &spec).is_ok());
         prop_assert_eq!(result.stats.gate_ops, gates);
         prop_assert_eq!(result.schedule.stats().shuttles, result.stats.shuttles);
+    }
+
+    /// The compile loop's next-use index answers every §III-A move score
+    /// and §III-C2 ion choice exactly as the pending-queue scans do. Debug
+    /// builds check each indexed answer against its scan at every
+    /// decision, so this compiles random circuits at every proximity on
+    /// lines, rings and grids whose traps start full up to their `comm`
+    /// free slots, tight enough to force evictions and re-orders.
+    #[test]
+    fn indexed_decisions_match_the_queue_scans(
+        qubits in 4u32..=16,
+        gates in 1usize..=120,
+        seed in any::<u64>(),
+        shape in 0u32..3,
+        size in 2u32..=4,
+        comm in 1u32..=2,
+    ) {
+        let topology = match shape {
+            0 => TrapTopology::linear(size),
+            1 => TrapTopology::ring(size + 1),
+            _ => TrapTopology::grid(2, size),
+        };
+        let per_trap = qubits.div_ceil(topology.num_traps());
+        let spec = MachineSpec::new(topology, per_trap + comm, comm).expect("valid spec");
+        let circuit = random_circuit(qubits, gates, seed);
+        for proximity in 1..=12 {
+            let config = CompilerConfig::optimized_with_proximity(proximity);
+            let result = compile(&circuit, &spec, &config).expect("compile succeeds");
+            prop_assert!(result.schedule.validate(&circuit, &spec).is_ok());
+        }
     }
 
     /// Simulation of any valid schedule produces bounded outputs.
