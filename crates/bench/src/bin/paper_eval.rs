@@ -1,20 +1,25 @@
-//! Regenerates every table and figure of the paper's evaluation (§IV).
+//! Regenerates every table and figure of the paper's evaluation (§IV)
+//! and keeps the repository's quality snapshot, `BENCH.json`.
 //!
 //! ```text
 //! cargo run -p qccd-bench --release --bin paper_eval -- all [--per-size N]
 //! ```
 //!
-//! Subcommands: `table2`, `fig8`, `table3`, `ablation`, `proximity`,
-//! `mapping`, `routers`, `timing`, `lookahead`, `pack`, `objective`,
-//! `delta`, `profile`, `explain`, `fidelity`, `jobs`, `all`, plus the
-//! snapshot differ
-//! `diff OLD.json NEW.json [--rel-tol X] [--json]` (exits 1 on any
-//! quality regression).
+//! Paper artefacts: `table2`, `fig8`, `table3`, `ablation`, `proximity`,
+//! `mapping`, `routers`, `timing`, `lookahead`, and `all` for every one
+//! of them. The snapshot, run from the repository root:
+//!
+//! * `snapshot` compiles the paper suite once under realistic timing,
+//!   writes `BENCH.json`, and checks it;
+//! * `check [BENCH.json]` runs every acceptance assertion over a snapshot
+//!   (exits 1 naming each failure);
+//! * `diff OLD.json NEW.json [--rel-tol X] [--json]` compares two
+//!   snapshots (exits 1 on any quality regression).
 
+use qccd_bench::json::Json;
 use qccd_bench::{
-    aggregate_random, delta_parity, lookahead_packing_gains, objective_gains, pack_gains,
-    run_nisq_suite, run_random_suite, run_timing_sweep, run_topology_router_sweep,
-    standard_topologies, timed_compile, ComparisonRow, RANDOM_SUITE_SEED,
+    aggregate_random, lookahead_packing_gains, run_nisq_suite, run_random_suite, run_timing_sweep,
+    run_topology_router_sweep, standard_topologies, timed_compile, PolicyRow, RANDOM_SUITE_SEED,
 };
 use qccd_circuit::generators::{paper_suite, random_suite};
 use qccd_core::{
@@ -22,14 +27,19 @@ use qccd_core::{
 };
 use qccd_machine::MachineSpec;
 use qccd_sim::SimParams;
+use std::time::Instant;
+
+/// Where `snapshot` writes and `check` reads by default.
+const SNAPSHOT_FILE: &str = "BENCH.json";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // `diff` is a pure file-to-file comparison — no compiles, no header
-    // (its `--json` output must be a clean document).
-    if args.first().map(String::as_str) == Some("diff") {
-        diff_cmd(&args[1..]);
-        return;
+    // `diff` and `check` are pure file readers — no compiles, no header
+    // (`diff --json` output must be a clean document).
+    match args.first().map(String::as_str) {
+        Some("diff") => return diff_cmd(&args[1..]),
+        Some("check") => return check_cmd(&args[1..]),
+        _ => {}
     }
     let mut command = String::from("all");
     let mut per_size = 30usize;
@@ -44,8 +54,7 @@ fn main() {
                 i += 2;
             }
             "table2" | "fig8" | "table3" | "ablation" | "proximity" | "mapping" | "routers"
-            | "timing" | "lookahead" | "pack" | "objective" | "delta" | "profile" | "explain"
-            | "fidelity" | "jobs" | "all" => {
+            | "timing" | "lookahead" | "snapshot" | "all" => {
                 command = args[i].clone();
                 i += 1;
             }
@@ -84,13 +93,7 @@ fn main() {
         "routers" => routers(&params),
         "timing" => timing(&spec, &params),
         "lookahead" => lookahead(&spec),
-        "pack" => pack(&spec),
-        "objective" => objective(&spec),
-        "delta" => delta(&spec),
-        "profile" => profile(&spec, &params),
-        "explain" => explain(&spec, &params),
-        "fidelity" => fidelity(&spec, &params),
-        "jobs" => jobs_determinism(&spec, &params),
+        "snapshot" => snapshot(&spec, &params),
         "all" => {
             table2(&nisq, &random);
             fig8(&nisq, &random);
@@ -101,9 +104,6 @@ fn main() {
             routers(&params);
             timing(&spec, &params);
             lookahead(&spec);
-            pack(&spec);
-            objective(&spec);
-            delta(&spec);
         }
         _ => unreachable!("validated above"),
     }
@@ -112,16 +112,110 @@ fn main() {
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: paper_eval [table2|fig8|table3|ablation|proximity|mapping|routers|timing|lookahead|pack|objective|delta|profile|explain|fidelity|jobs|all] [--per-size N]\n       paper_eval diff OLD.json NEW.json [--rel-tol X] [--json]"
+        "usage: paper_eval [table2|fig8|table3|ablation|proximity|mapping|routers|timing|lookahead|all] [--per-size N]\n       paper_eval snapshot\n       paper_eval check [BENCH.json]\n       paper_eval diff OLD.json NEW.json [--rel-tol X] [--json]"
     );
     std::process::exit(2);
 }
 
+/// Reads and parses a snapshot, exiting 2 with a one-line error if it
+/// cannot.
+fn load(path: &str) -> Json {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("error: cannot read `{path}`: {e}");
+        std::process::exit(2);
+    });
+    qccd_bench::json::parse(&text).unwrap_or_else(|e| {
+        eprintln!("error: `{path}` is not valid JSON: {e}");
+        std::process::exit(2);
+    })
+}
+
+/// Prints `check`'s verdict on `doc` and exits 1 if any assertion fails.
+fn report_check(path: &str, doc: &Json) {
+    let failures = qccd_bench::check::check_snapshot(doc);
+    if failures.is_empty() {
+        println!("check `{path}`: every assertion holds");
+        return;
+    }
+    for failure in &failures {
+        eprintln!("error: {failure}");
+    }
+    eprintln!("error: `{path}` fails {} check(s)", failures.len());
+    std::process::exit(1);
+}
+
+/// `paper_eval check [BENCH.json]`.
+fn check_cmd(args: &[String]) {
+    match args {
+        [] => report_check(SNAPSHOT_FILE, &load(SNAPSHOT_FILE)),
+        [path] if !path.starts_with('-') => report_check(path, &load(path)),
+        _ => usage("check takes at most one snapshot file"),
+    }
+}
+
+/// `paper_eval snapshot`: compiles the paper suite once, writes
+/// `BENCH.json`, prints a summary with the wall time, and checks the
+/// document it wrote.
+fn snapshot(spec: &MachineSpec, params: &SimParams) {
+    println!("## Snapshot (paper suite, realistic timing)");
+    let start = Instant::now();
+    let doc = qccd_bench::profile::paper_snapshot(spec, params);
+    let text = format!("{doc}\n");
+    if let Err(e) = std::fs::write(SNAPSHOT_FILE, &text) {
+        eprintln!("error: cannot write `{SNAPSHOT_FILE}`: {e}");
+        std::process::exit(2);
+    }
+    let seconds = start.elapsed().as_secs_f64();
+    println!(
+        "{:<16} {:>12} {:>12} {:>12} {:>6} {:>10} {:>6} {:>6} {:>9} {:>9}",
+        "Benchmark",
+        "LookMk(us)",
+        "PackMk(us)",
+        "ClockMk(us)",
+        "Steps",
+        "-lnF",
+        "Dur%",
+        "Mot%",
+        "jobs1(s)",
+        "jobs4(s)"
+    );
+    if let Some(Json::Arr(benchmarks)) = doc.get("benchmarks") {
+        for b in benchmarks {
+            let num = |path: &str| match b.get(path) {
+                Some(Json::Num(n)) => *n,
+                _ => f64::NAN,
+            };
+            let name = match b.get("name") {
+                Some(Json::Str(name)) => name.as_str(),
+                _ => "?",
+            };
+            println!(
+                "{:<16} {:>12.1} {:>12.1} {:>12.1} {:>6} {:>10.4} {:>5.1}% {:>5.1}% {:>9.4} {:>9.4}",
+                name,
+                num("packed.lookahead_timed_makespan_us"),
+                num("packed.packed_timed_makespan_us"),
+                num("clock.clock_timed_makespan_us"),
+                num("explain.critical_path_steps"),
+                num("fidelity.total_log_loss"),
+                100.0 * num("fidelity.duration_share"),
+                100.0 * num("fidelity.motional_share"),
+                num("jobs.compile_seconds_jobs1"),
+                num("jobs.compile_seconds_jobs4"),
+            );
+        }
+    }
+    println!(
+        "\nwrote {SNAPSHOT_FILE} ({} bytes) in {seconds:.2} s",
+        text.len()
+    );
+    report_check(SNAPSHOT_FILE, &doc);
+}
+
 /// `paper_eval diff OLD.json NEW.json`: schema-aware comparison of two
 /// BENCH snapshots. Quality metrics are classified by direction
-/// (regression / improvement / unchanged); wall-clock and `profile` /
-/// `explain` data is informational. Exits 1 iff the diff contains at
-/// least one quality regression.
+/// (regression / improvement / unchanged); wall-clock, `profile`,
+/// `explain` and `fidelity` data is informational. Exits 1 iff the diff
+/// contains at least one quality regression.
 fn diff_cmd(args: &[String]) {
     let mut files: Vec<String> = Vec::new();
     let mut rel_tol = 0.0f64;
@@ -158,16 +252,6 @@ fn diff_cmd(args: &[String]) {
     if files.len() != 2 {
         usage("diff needs exactly two snapshot files: OLD.json NEW.json");
     }
-    let load = |path: &str| {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("error: cannot read `{path}`: {e}");
-            std::process::exit(2);
-        });
-        qccd_bench::json::parse(&text).unwrap_or_else(|e| {
-            eprintln!("error: `{path}` is not valid JSON: {e}");
-            std::process::exit(2);
-        })
-    };
     let old = load(&files[0]);
     let new = load(&files[1]);
     let report = qccd_bench::diff::diff_snapshots(&old, &new, rel_tol);
@@ -186,496 +270,6 @@ fn diff_cmd(args: &[String]) {
         );
         std::process::exit(1);
     }
-}
-
-/// Schedule explanation over the paper suite: profiles every benchmark
-/// (asserting the observes-never-decides parity `profile` asserts),
-/// recompiles the clock pipeline's chosen schedule, attributes its
-/// makespan along the critical path, and snapshots everything into
-/// `BENCH_pr8.json`. Two identities gate the write: the attribution
-/// segments must sum bit-for-bit to the timeline's makespan on every
-/// benchmark, and the snapshot's quality rows (everything outside
-/// `profile` / `explain` / `compile_seconds*`) must be bit-for-bit equal
-/// to the committed `BENCH_pr7.json`.
-fn explain(spec: &MachineSpec, params: &SimParams) {
-    use qccd_bench::json::{parse, strip_keys, Json};
-
-    println!("## Schedule explanation (paper suite, realistic timing)");
-    qccd_obs::info("paper_eval", || "profiling paper suite...".to_owned());
-    let model = qccd_core::TimingModel::realistic();
-    let profiles = qccd_bench::profile::profile_paper_suite(spec, params, &model);
-    println!(
-        "{:<16} {:>13} {:>11} {:>11} {:>11} {:>10} {:>10} {:>10} {:>6}",
-        "Benchmark",
-        "Makespan(us)",
-        "Gate(us)",
-        "Flight(us)",
-        "SplitM(us)",
-        "Junc(us)",
-        "Zone(us)",
-        "Idle(us)",
-        "Steps"
-    );
-    let mut explains: Vec<Json> = Vec::new();
-    for (bench, p) in paper_suite().iter().zip(&profiles) {
-        let explained = explain_benchmark(bench, p.row.clock_timed_makespan_us, spec, &model);
-        let attribution = &explained.attribution;
-        println!(
-            "{:<16} {:>13.1} {:>11.1} {:>11.1} {:>11.1} {:>10.1} {:>10.1} {:>10.1} {:>6}",
-            bench.name,
-            attribution.makespan_us,
-            attribution.gate_us,
-            attribution.flight_us,
-            attribution.split_merge_us,
-            attribution.junction_us,
-            attribution.zone_move_us,
-            attribution.idle_wait_us,
-            explained.steps
-        );
-        explains.push(explained.json);
-    }
-
-    let snapshot =
-        qccd_bench::profile::render_snapshot_with(spec, "realistic", &profiles, &explains);
-    // Parity gate: the explain snapshot only *adds* — its quality rows
-    // must be bit-for-bit what the committed PR 7 trajectory pinned.
-    let committed = std::fs::read_to_string("BENCH_pr7.json")
-        .expect("BENCH_pr7.json is committed at the repo root (run from there)");
-    let drop = |k: &str| k == "profile" || k == "explain" || k.starts_with("compile_seconds");
-    let old = strip_keys(
-        &parse(&committed).expect("committed BENCH_pr7.json parses"),
-        &drop,
-    );
-    let new = strip_keys(&parse(&snapshot).expect("the fresh snapshot parses"), &drop);
-    assert!(
-        old == new,
-        "BENCH_pr8.json quality rows diverged from the committed BENCH_pr7.json \
-         (explain observes, never decides — this is a regression)"
-    );
-    std::fs::write("BENCH_pr8.json", &snapshot).expect("can write BENCH_pr8.json");
-    println!("\nquality rows bit-for-bit equal to BENCH_pr7.json: yes");
-    println!("wrote BENCH_pr8.json ({} bytes)", snapshot.len());
-    println!();
-}
-
-/// One benchmark's recompiled clock artifact plus its critical-path
-/// explanation, shared by the `explain` and `fidelity` subcommands.
-struct ExplainedBenchmark {
-    chosen: qccd_core::CompileResult,
-    attribution: qccd_timing::MakespanAttribution,
-    steps: usize,
-    json: qccd_bench::json::Json,
-}
-
-/// Reproduces the clock pipeline's chosen schedule exactly as
-/// `compare_timed` built it (same configs, same race), so the timeline
-/// being explained is the one the snapshot's quality row describes, then
-/// attributes its makespan along the critical path.
-///
-/// # Panics
-///
-/// Panics if the recompiled timeline diverges from the profiled row, if
-/// the attribution segments do not sum bit-for-bit to the makespan, or if
-/// the critical path is not contiguous.
-fn explain_benchmark(
-    bench: &qccd_circuit::generators::BenchmarkCircuit,
-    row_makespan_us: f64,
-    spec: &MachineSpec,
-    model: &qccd_core::TimingModel,
-) -> ExplainedBenchmark {
-    use qccd_bench::json::Json;
-    use qccd_timing::{attribute_path, critical_path};
-
-    let (packed, _) = qccd_pack::compile_packed(
-        &bench.circuit,
-        spec,
-        &CompilerConfig::optimized()
-            .with_router(qccd_core::RouterPolicy::congestion())
-            .with_timing(*model),
-    )
-    .expect("benchmark circuits compile and pack on the paper machine");
-    let (chosen, _) = qccd_pack::race_clock(
-        packed.clone(),
-        &bench.circuit,
-        spec,
-        &CompilerConfig::optimized().with_timing(*model),
-    )
-    .expect("benchmark circuits compile under the clock objective");
-    assert!(
-        chosen.timeline.makespan_us.to_bits() == row_makespan_us.to_bits(),
-        "{}: recompiled clock timeline diverged from the profiled row \
-         ({} vs {})",
-        bench.name,
-        chosen.timeline.makespan_us,
-        row_makespan_us
-    );
-    let path = critical_path(&chosen.timeline, &bench.circuit);
-    let attribution = attribute_path(&chosen.timeline, model, &path);
-    assert!(
-        attribution.total_us().to_bits() == chosen.timeline.makespan_us.to_bits(),
-        "{}: attribution identity violated ({} vs {})",
-        bench.name,
-        attribution.total_us(),
-        chosen.timeline.makespan_us
-    );
-    assert!(
-        path.is_contiguous(),
-        "{}: critical path is not contiguous",
-        bench.name
-    );
-    let json = Json::obj(vec![
-        ("makespan_us", Json::Num(attribution.makespan_us)),
-        ("critical_path_steps", Json::int(path.steps.len())),
-        (
-            "blame_counts",
-            Json::Obj(
-                path.blame_counts()
-                    .iter()
-                    .map(|(b, n)| (b.label().to_owned(), Json::int(*n)))
-                    .collect(),
-            ),
-        ),
-        (
-            "attribution",
-            Json::obj(vec![
-                ("gate_us", Json::Num(attribution.gate_us)),
-                ("flight_us", Json::Num(attribution.flight_us)),
-                ("split_merge_us", Json::Num(attribution.split_merge_us)),
-                ("junction_us", Json::Num(attribution.junction_us)),
-                ("zone_move_us", Json::Num(attribution.zone_move_us)),
-                ("idle_wait_us", Json::Num(attribution.idle_wait_us)),
-                ("total_us", Json::Num(attribution.total_us())),
-                (
-                    "identity",
-                    Json::Bool(
-                        attribution.total_us().to_bits() == attribution.makespan_us.to_bits(),
-                    ),
-                ),
-            ]),
-        ),
-    ]);
-    ExplainedBenchmark {
-        chosen,
-        attribution,
-        steps: path.steps.len(),
-        json,
-    }
-}
-
-/// The per-benchmark `"fidelity"` snapshot value: the loss-decomposition
-/// totals, the duration/motional shares, and the top-3 worst gates and
-/// hottest traps by blamed heat loss.
-fn fidelity_json(attr: &qccd_sim::FidelityAttribution) -> qccd_bench::json::Json {
-    use qccd_bench::json::Json;
-    Json::obj(vec![
-        (
-            "log_program_fidelity",
-            Json::Num(attr.report.log_program_fidelity),
-        ),
-        ("total_log_loss", Json::Num(attr.total_loss())),
-        ("duration_loss", Json::Num(attr.gate_duration_loss)),
-        ("motional_loss", Json::Num(attr.gate_motional_loss)),
-        ("zero_point_loss", Json::Num(attr.gate_zero_point_loss)),
-        ("heat_loss", Json::Num(attr.gate_heat_loss)),
-        ("shuttle_pulse_loss", Json::Num(attr.shuttle_pulse_loss)),
-        ("duration_share", Json::Num(attr.duration_share())),
-        ("motional_share", Json::Num(attr.motional_share())),
-        ("saturated_gates", Json::int(attr.saturated_gates)),
-        ("identity", Json::Bool(attr.identity_holds())),
-        (
-            "worst_gates",
-            Json::Arr(
-                attr.worst_gates(3)
-                    .iter()
-                    .filter_map(|t| match t {
-                        qccd_sim::LossTerm::Gate {
-                            gate,
-                            trap,
-                            log_loss,
-                            n_bar,
-                            ..
-                        } => Some(Json::obj(vec![
-                            ("gate", Json::int(gate.index())),
-                            ("trap", Json::int(trap.index())),
-                            ("log_loss", Json::Num(*log_loss)),
-                            ("n_bar", Json::Num(*n_bar)),
-                        ])),
-                        qccd_sim::LossTerm::Shuttle { .. } => None,
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "hottest_traps",
-            Json::Arr(
-                attr.hottest_traps(3)
-                    .iter()
-                    .map(|(trap, blamed, gross)| {
-                        Json::obj(vec![
-                            ("trap", Json::int(*trap)),
-                            ("blamed_log_loss", Json::Num(*blamed)),
-                            ("gross_quanta", Json::Num(*gross)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// Fidelity attribution over the paper suite: profiles every benchmark
-/// (asserting the observes-never-decides parity `profile` asserts),
-/// recompiles the clock pipeline's chosen schedule, replays it under the
-/// heat-provenance ledger, decomposes `log_program_fidelity` into
-/// per-gate duration vs motional loss terms, and snapshots everything
-/// into `BENCH_pr9.json`. Three identities gate the write on every
-/// benchmark: the schedule-explain identity `explain` asserts, the
-/// fidelity identity (loss terms and ledger reproduce
-/// `log_program_fidelity` and every sampled n̄ bit for bit), and the
-/// snapshot parity (quality rows outside `profile` / `explain` /
-/// `fidelity` / `compile_seconds*` must be bit-for-bit equal to the
-/// committed `BENCH_pr8.json`).
-fn fidelity(spec: &MachineSpec, params: &SimParams) {
-    use qccd_bench::json::{parse, strip_keys, Json};
-
-    println!("## Fidelity attribution (paper suite, realistic timing)");
-    qccd_obs::info("paper_eval", || "profiling paper suite...".to_owned());
-    let model = qccd_core::TimingModel::realistic();
-    let profiles = qccd_bench::profile::profile_paper_suite(spec, params, &model);
-    println!(
-        "{:<16} {:>12} {:>11} {:>11} {:>11} {:>11} {:>6} {:>6} {:>8}",
-        "Benchmark", "-lnF", "Dur(Gt)", "Motional", "Heat", "Shuttle", "Dur%", "Mot%", "Identity"
-    );
-    let mut explains: Vec<Json> = Vec::new();
-    let mut fidelities: Vec<Json> = Vec::new();
-    for (bench, p) in paper_suite().iter().zip(&profiles) {
-        let explained = explain_benchmark(bench, p.row.clock_timed_makespan_us, spec, &model);
-        let attr = qccd_sim::attribute_fidelity_timed(
-            &explained.chosen.schedule,
-            &explained.chosen.transport,
-            &bench.circuit,
-            spec,
-            params,
-            &model,
-        )
-        .expect("benchmark schedules replay under the physics model");
-        assert!(
-            attr.identity_holds(),
-            "{}: fidelity attribution identity violated (the loss terms and \
-             heat ledger do not reproduce log_program_fidelity = {} bit for bit)",
-            bench.name,
-            attr.report.log_program_fidelity
-        );
-        assert!(
-            attr.report.program_fidelity.to_bits() == p.row.clock_sim.program_fidelity.to_bits(),
-            "{}: attribution replay diverged from the profiled clock row \
-             ({} vs {})",
-            bench.name,
-            attr.report.program_fidelity,
-            p.row.clock_sim.program_fidelity
-        );
-        println!(
-            "{:<16} {:>12.4e} {:>11.4e} {:>11.4e} {:>11.4e} {:>11.4e} {:>5.1}% {:>5.1}% {:>8}",
-            bench.name,
-            attr.total_loss(),
-            attr.gate_duration_loss,
-            attr.gate_motional_loss,
-            attr.gate_heat_loss,
-            attr.shuttle_pulse_loss,
-            100.0 * attr.duration_share(),
-            100.0 * attr.motional_share(),
-            "yes"
-        );
-        explains.push(explained.json);
-        fidelities.push(fidelity_json(&attr));
-    }
-
-    let snapshot = qccd_bench::profile::render_snapshot_full(
-        spec,
-        "realistic",
-        &profiles,
-        &explains,
-        &fidelities,
-    );
-    // Parity gate: the fidelity snapshot only *adds* — its quality rows
-    // must be bit-for-bit what the committed PR 8 trajectory pinned.
-    let committed = std::fs::read_to_string("BENCH_pr8.json")
-        .expect("BENCH_pr8.json is committed at the repo root (run from there)");
-    let drop = |k: &str| {
-        k == "profile" || k == "explain" || k == "fidelity" || k.starts_with("compile_seconds")
-    };
-    let old = strip_keys(
-        &parse(&committed).expect("committed BENCH_pr8.json parses"),
-        &drop,
-    );
-    let new = strip_keys(&parse(&snapshot).expect("the fresh snapshot parses"), &drop);
-    assert!(
-        old == new,
-        "BENCH_pr9.json quality rows diverged from the committed BENCH_pr8.json \
-         (fidelity attribution observes, never decides — this is a regression)"
-    );
-    std::fs::write("BENCH_pr9.json", &snapshot).expect("can write BENCH_pr9.json");
-    println!(
-        "\nfidelity identity holds on all {} benchmarks",
-        profiles.len()
-    );
-    println!("quality rows bit-for-bit equal to BENCH_pr8.json: yes");
-    println!("wrote BENCH_pr9.json ({} bytes)", snapshot.len());
-    println!();
-}
-
-/// The clock pipeline's two-arm race over the paper suite: every
-/// benchmark is compiled through the clock pipeline at `--jobs` widths
-/// 1, 4 and 8, and the quality figures (chosen makespan bits, clock
-/// stats, schedule, transport) must be bit-for-bit identical at every
-/// width. Wall-clock
-/// compile times (min over three runs) at jobs 1 and 4 ride into
-/// `BENCH_pr10.json` per benchmark, gated on quality parity with the
-/// committed `BENCH_pr9.json`.
-///
-/// The recorded speedup is whatever this host actually measures — the
-/// `compile_seconds*` keys are informational by prefix, so single-core
-/// machines record an honest ~1x rather than an aspirational figure.
-fn jobs_determinism(spec: &MachineSpec, params: &SimParams) {
-    use qccd_bench::json::{parse, strip_keys, Json};
-    use std::time::Instant;
-
-    const TIMING_RUNS: usize = 3;
-
-    println!("## Clock pipeline race (--jobs): determinism + wall clock");
-    let model = qccd_core::TimingModel::realistic();
-    let clock_config = CompilerConfig::optimized().with_timing(model);
-    println!(
-        "{:<16} {:>14} {:>5} {:>11} {:>11} {:>8} {:>14}",
-        "Benchmark", "Makespan(us)", "Ties", "jobs=1 (s)", "jobs=4 (s)", "Speedup", "Deterministic"
-    );
-    let mut jobs_values: Vec<Json> = Vec::new();
-    let mut chosen_makespans: Vec<f64> = Vec::new();
-    for bench in paper_suite().iter() {
-        let run = |jobs: usize, runs: usize| {
-            let config = clock_config.with_jobs(jobs);
-            let mut best = f64::INFINITY;
-            let mut last = None;
-            for _ in 0..runs {
-                let start = Instant::now();
-                let result = qccd_pack::compile_clock(&bench.circuit, spec, &config)
-                    .expect("benchmark circuits compile under the clock objective");
-                best = best.min(start.elapsed().as_secs_f64());
-                last = Some(result);
-            }
-            (best, last.expect("at least one timing run"))
-        };
-        let (secs1, (chosen, stats)) = run(1, TIMING_RUNS);
-        let (secs4, wide4) = run(4, TIMING_RUNS);
-        let (_, wide8) = run(8, 1);
-        for (jobs, (result, wide_stats)) in [(4usize, &wide4), (8, &wide8)] {
-            assert!(
-                *wide_stats == stats,
-                "{}: clock stats diverged at jobs={jobs} ({wide_stats:?} vs {stats:?})",
-                bench.name
-            );
-            assert!(
-                result.timeline.makespan_us.to_bits() == chosen.timeline.makespan_us.to_bits(),
-                "{}: chosen makespan diverged at jobs={jobs} ({} vs {})",
-                bench.name,
-                result.timeline.makespan_us,
-                chosen.timeline.makespan_us
-            );
-            assert!(
-                result.schedule == chosen.schedule && result.transport == chosen.transport,
-                "{}: chosen schedule diverged at jobs={jobs}",
-                bench.name
-            );
-        }
-        println!(
-            "{:<16} {:>14.1} {:>5} {:>11.3} {:>11.3} {:>7.2}x {:>14}",
-            bench.name,
-            chosen.timeline.makespan_us,
-            stats.clock_ties,
-            secs1,
-            secs4,
-            secs1 / secs4,
-            "yes"
-        );
-        jobs_values.push(Json::obj(vec![
-            ("compile_seconds_jobs1", Json::Num(secs1)),
-            ("compile_seconds_jobs4", Json::Num(secs4)),
-            ("compile_seconds_speedup_jobs4", Json::Num(secs1 / secs4)),
-        ]));
-        chosen_makespans.push(chosen.timeline.makespan_us);
-    }
-
-    qccd_obs::info("paper_eval", || "profiling paper suite...".to_owned());
-    let profiles = qccd_bench::profile::profile_paper_suite(spec, params, &model);
-    let mut explains: Vec<Json> = Vec::new();
-    let mut fidelities: Vec<Json> = Vec::new();
-    for ((bench, p), makespan) in paper_suite().iter().zip(&profiles).zip(&chosen_makespans) {
-        assert!(
-            p.row.clock_timed_makespan_us.to_bits() == makespan.to_bits(),
-            "{}: profiled clock row diverged from the jobs determinism sweep \
-             ({} vs {})",
-            bench.name,
-            p.row.clock_timed_makespan_us,
-            makespan
-        );
-        let explained = explain_benchmark(bench, p.row.clock_timed_makespan_us, spec, &model);
-        let attr = qccd_sim::attribute_fidelity_timed(
-            &explained.chosen.schedule,
-            &explained.chosen.transport,
-            &bench.circuit,
-            spec,
-            params,
-            &model,
-        )
-        .expect("benchmark schedules replay under the physics model");
-        assert!(
-            attr.identity_holds(),
-            "{}: fidelity attribution identity violated",
-            bench.name
-        );
-        explains.push(explained.json);
-        fidelities.push(fidelity_json(&attr));
-    }
-
-    let snapshot = qccd_bench::profile::render_snapshot_jobs(
-        spec,
-        "realistic",
-        &profiles,
-        &explains,
-        &fidelities,
-        &jobs_values,
-        Some(true),
-    );
-    // Parity gate: the jobs snapshot only *adds* — its quality rows must
-    // be bit-for-bit what the committed PR 9 trajectory pinned.
-    let committed = std::fs::read_to_string("BENCH_pr9.json")
-        .expect("BENCH_pr9.json is committed at the repo root (run from there)");
-    let drop = |k: &str| {
-        k == "profile"
-            || k == "explain"
-            || k == "fidelity"
-            || k == "jobs"
-            || k == "all_jobs_deterministic"
-            || k.starts_with("compile_seconds")
-    };
-    let old = strip_keys(
-        &parse(&committed).expect("committed BENCH_pr9.json parses"),
-        &drop,
-    );
-    let new = strip_keys(&parse(&snapshot).expect("the fresh snapshot parses"), &drop);
-    assert!(
-        old == new,
-        "BENCH_pr10.json quality rows diverged from the committed BENCH_pr9.json \
-         (parallel scoring is a pure wall-clock change — this is a regression)"
-    );
-    std::fs::write("BENCH_pr10.json", &snapshot).expect("can write BENCH_pr10.json");
-    println!(
-        "\nall {} benchmarks bit-for-bit identical at jobs 1, 4 and 8",
-        profiles.len()
-    );
-    println!("quality rows bit-for-bit equal to BENCH_pr9.json: yes");
-    println!("wrote BENCH_pr10.json ({} bytes)", snapshot.len());
-    println!();
 }
 
 /// Topology × router sweep: the paper benchmarks on the L6-class machine
@@ -749,195 +343,8 @@ fn lookahead(spec: &MachineSpec) {
     println!();
 }
 
-/// Timeline-driven packing: before/after transport depth and timed
-/// makespan (realistic device model). This doubles as the PR 4 acceptance
-/// gate: packed timed makespan must be ≤ lookahead on every paper
-/// benchmark and *strictly* lower on QAOA.
-fn pack(spec: &MachineSpec) {
-    println!("## qccd-pack — cross-gate packing + batched layer planning (realistic timing)");
-    println!(
-        "{:<16} {:>7} {:>7} {:>7} {:>12} {:>12} {:>9} {:>6} {:>7}",
-        "Benchmark",
-        "Greedy",
-        "Look",
-        "Packed",
-        "LookMk(us)",
-        "PackMk(us)",
-        "Gain(us)",
-        "Hoist",
-        "Replan"
-    );
-    qccd_obs::info("paper_eval", || "pack gains...".to_owned());
-    let rows = pack_gains(&paper_suite(), spec);
-    for r in &rows {
-        println!(
-            "{:<16} {:>7} {:>7} {:>7} {:>12.1} {:>12.1} {:>9.1} {:>6} {:>7}",
-            r.name,
-            r.greedy_depth,
-            r.lookahead_depth,
-            r.packed_depth,
-            r.lookahead_makespan_us,
-            r.packed_makespan_us,
-            r.lookahead_makespan_us - r.packed_makespan_us,
-            r.hoisted_hops,
-            r.replanned_runs
-        );
-        assert!(
-            r.packed_makespan_us <= r.lookahead_makespan_us,
-            "{}: packing regressed the timed makespan",
-            r.name
-        );
-    }
-    let qaoa = rows.iter().find(|r| r.name == "QAOA").expect("QAOA row");
-    assert!(
-        qaoa.packed_makespan_us < qaoa.lookahead_makespan_us,
-        "QAOA packed makespan must strictly beat lookahead"
-    );
-    println!();
-}
-
-/// Timed compile-loop objective: the clock-objective pipeline against the
-/// default-objective packed stack (realistic device model). This doubles
-/// as the PR 5 acceptance gate: the chosen makespan must be <= packed on
-/// every paper benchmark (never-regress, by construction) and the clock
-/// candidate *strictly* lower on at least one — QAOA is the target.
-fn objective(spec: &MachineSpec) {
-    println!("## Timed compile-loop objective — clock vs packed (realistic timing)");
-    println!(
-        "{:<16} {:>12} {:>12} {:>9} {:>6} {:>7} {:>7} {:>9}",
-        "Benchmark", "PackMk(us)", "ClockMk(us)", "Gain(us)", "Ties", "Batch", "BHops", "Improved"
-    );
-    qccd_obs::info("paper_eval", || "objective gains...".to_owned());
-    let rows = objective_gains(&paper_suite(), spec);
-    for r in &rows {
-        println!(
-            "{:<16} {:>12.1} {:>12.1} {:>9.1} {:>6} {:>7} {:>7} {:>9}",
-            r.name,
-            r.packed_makespan_us,
-            r.clock_makespan_us,
-            r.packed_makespan_us - r.clock_makespan_us,
-            r.clock_ties,
-            r.batched_layers,
-            r.batched_hops,
-            r.improved
-        );
-        assert!(
-            r.chosen_makespan_us <= r.packed_makespan_us,
-            "{}: the clock pipeline regressed the packed stack",
-            r.name
-        );
-    }
-    assert!(
-        rows.iter().any(|r| r.improved),
-        "the clock objective must strictly beat the packed stack on at least one benchmark"
-    );
-    println!();
-}
-
-/// Score-mode parity: the clock pipeline under the delta scorer against
-/// the same pipeline under the O(suffix) re-lower oracle. This is the
-/// PR 6 acceptance gate — every quality figure must match bit-for-bit on
-/// every paper benchmark; the compile-second columns show what the delta
-/// scorer buys.
-fn delta(spec: &MachineSpec) {
-    println!("## Score-mode parity — delta scorer vs full re-lower oracle (realistic timing)");
-    println!(
-        "{:<16} {:>12} {:>12} {:>6} {:>7} {:>9} {:>9} {:>8} {:>7}",
-        "Benchmark",
-        "DeltaMk(us)",
-        "FullMk(us)",
-        "Ties",
-        "Batch",
-        "Delta(s)",
-        "Full(s)",
-        "Speedup",
-        "Match"
-    );
-    qccd_obs::info("paper_eval", || "score-mode parity...".to_owned());
-    let rows = delta_parity(&paper_suite(), spec);
-    for r in &rows {
-        println!(
-            "{:<16} {:>12.1} {:>12.1} {:>6} {:>7} {:>9.3} {:>9.3} {:>7.1}x {:>7}",
-            r.name,
-            r.delta_makespan_us,
-            r.full_makespan_us,
-            r.delta_ties,
-            r.delta_batched_layers,
-            r.delta_compile_s,
-            r.full_compile_s,
-            r.speedup(),
-            r.matches()
-        );
-        assert!(
-            r.matches(),
-            "{}: delta and full scoring diverged (delta {:?} vs full {:?} makespan, \
-             {}/{} shuttles, {}/{} depth, {}/{} ties, {}/{} layers, {}/{} hops)",
-            r.name,
-            r.delta_makespan_us,
-            r.full_makespan_us,
-            r.delta_shuttles,
-            r.full_shuttles,
-            r.delta_depth,
-            r.full_depth,
-            r.delta_ties,
-            r.full_ties,
-            r.delta_batched_layers,
-            r.full_batched_layers,
-            r.delta_batched_hops,
-            r.full_batched_hops
-        );
-    }
-    println!();
-}
-
-/// Profiled BENCH trajectory: runs the paper suite under the realistic
-/// timing model with the `qccd-obs` recorder on, asserts every quality
-/// figure is bit-for-bit equal to an uninstrumented reference run, and
-/// snapshots the rows plus per-phase breakdowns and hot-path counters
-/// into `BENCH_pr7.json`.
-fn profile(spec: &MachineSpec, params: &SimParams) {
-    println!("## Profiled compile trajectory (paper suite, realistic timing)");
-    qccd_obs::info("paper_eval", || "profiling paper suite...".to_owned());
-    let model = qccd_core::TimingModel::realistic();
-    let profiles = qccd_bench::profile::profile_paper_suite(spec, params, &model);
-    println!(
-        "{:<16} {:>12} {:>14} {:>16} {:>10} {:>10}",
-        "Benchmark", "Wall(ms)", "Hottest phase", "Cand. scored", "DeltaHit%", "Backfills"
-    );
-    for p in &profiles {
-        let hottest = p
-            .phases
-            .first()
-            .map_or("-", |ph| ph.name.as_str())
-            .to_owned();
-        let scored = p
-            .counters
-            .iter()
-            .find(|(n, _)| n == "core.candidates_scored")
-            .map_or(0, |&(_, v)| v);
-        let backfills = p
-            .counters
-            .iter()
-            .find(|(n, _)| n == "route.backfill_attempts")
-            .map_or(0, |&(_, v)| v);
-        println!(
-            "{:<16} {:>12.1} {:>14} {:>16} {:>9.1}% {:>10}",
-            p.row.name,
-            p.wall_us / 1_000.0,
-            hottest,
-            scored,
-            100.0 * p.delta_hit_rate,
-            backfills
-        );
-    }
-    let snapshot = qccd_bench::profile::render_snapshot(spec, "realistic", &profiles);
-    std::fs::write("BENCH_pr7.json", &snapshot).expect("can write BENCH_pr7.json");
-    println!("\nwrote BENCH_pr7.json ({} bytes)", snapshot.len());
-    println!();
-}
-
 /// Table II: reduction in the number of shuttles.
-fn table2(nisq: &[ComparisonRow], random: &[ComparisonRow]) {
+fn table2(nisq: &[PolicyRow], random: &[PolicyRow]) {
     println!("## Table II — Reduction in the number of shuttles");
     println!(
         "{:<14} {:>6} {:>8} {:>8} {:>10} {:>7} {:>8}",
@@ -982,7 +389,7 @@ fn table2(nisq: &[ComparisonRow], random: &[ComparisonRow]) {
 }
 
 /// Fig. 8: improvement in program fidelity.
-fn fig8(nisq: &[ComparisonRow], random: &[ComparisonRow]) {
+fn fig8(nisq: &[PolicyRow], random: &[PolicyRow]) {
     println!("## Fig. 8 — Program fidelity improvement (optimized / baseline)");
     println!(
         "{:<14} {:>12} {:>14} {:>14}",
@@ -1008,7 +415,7 @@ fn fig8(nisq: &[ComparisonRow], random: &[ComparisonRow]) {
 }
 
 /// Table III: compilation time overhead.
-fn table3(nisq: &[ComparisonRow], random: &[ComparisonRow]) {
+fn table3(nisq: &[PolicyRow], random: &[PolicyRow]) {
     println!("## Table III — Compilation time overhead");
     println!(
         "{:<14} {:>18} {:>14} {:>10}",
@@ -1138,19 +545,19 @@ fn proximity(spec: &MachineSpec) {
 
 #[cfg(test)]
 mod tests {
-    use qccd_bench::compare;
+    use qccd_bench::compare_policies;
     use qccd_machine::MachineSpec;
     use qccd_sim::SimParams;
+    use qccd_timing::TimingModel;
 
     #[test]
     fn comparison_row_delta_math() {
         let spec = MachineSpec::linear(2, 6, 2).unwrap();
-        let params = SimParams::default();
         let bench = qccd_circuit::generators::BenchmarkCircuit {
             name: "t".into(),
             circuit: qccd_circuit::generators::random_circuit(8, 40, 1),
         };
-        let row = compare(&bench, &spec, &params);
+        let row = compare_policies(&bench, &spec, &SimParams::default(), &TimingModel::ideal());
         assert_eq!(
             row.delta(),
             row.baseline_shuttles as i64 - row.optimized_shuttles as i64

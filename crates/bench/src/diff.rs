@@ -1,14 +1,16 @@
 //! `paper_eval diff` — schema-aware comparison of two BENCH snapshots.
 //!
-//! The BENCH trajectory (`BENCH_pr2.json` … `BENCH_pr8.json`) carries
-//! three kinds of leaves, and a useful differ must not treat them alike:
+//! A snapshot (`BENCH.json`, or the `BENCH_pr2.json` … `BENCH_pr10.json`
+//! history it continues) carries three kinds of leaves, and a useful
+//! differ must not treat them alike:
 //!
 //! * **quality metrics** (shuttle counts, makespans, fidelities, the
 //!   suite-level acceptance flags) — the values this repo pins
 //!   bit-for-bit; any drift in the *bad* direction is a regression.
-//! * **wall-clock figures** (`compile_seconds*`, the `profile` subtree's
-//!   phase times and counters, `wall_us`) — machine-dependent noise;
-//!   reported but never gating.
+//! * **wall-clock and derived figures** (`compile_seconds*`, `wall_us`,
+//!   and the `profile`, `explain` and `fidelity` subtrees) —
+//!   machine-dependent noise or observability; reported but never
+//!   gating.
 //! * **structure** (names, key sets) — a key present on one side only is
 //!   surfaced so schema evolution is visible instead of silently skipped.
 //!
@@ -16,8 +18,8 @@
 //! every shared numeric/boolean leaf by the direction inferred from its
 //! key name, and returns a [`DiffReport`] renderable as markdown or JSON.
 //! `paper_eval diff OLD NEW` exits non-zero iff the report contains a
-//! quality regression — the structured replacement for the hand-written
-//! per-PR CI asserts.
+//! quality regression. What a single snapshot must satisfy on its own is
+//! `paper_eval check`'s job ([`crate::check`]).
 
 use crate::json::Json;
 

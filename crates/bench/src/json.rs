@@ -1,21 +1,20 @@
-//! A minimal JSON value tree for snapshot emission and re-reading.
+//! A minimal JSON value tree for report and snapshot emission and
+//! re-reading.
 //!
 //! The workspace's serde dependency is a vendored marker-trait stub (the
-//! container builds offline), so the `BENCH` snapshots are rendered by
-//! hand here — the same value model and formatting as the `muzzle`
-//! driver's reports (RFC 8259 output, stable key order, two-space
-//! indent, integral numbers printed without a fraction), so a profile
-//! snapshot's quality rows are byte-comparable against `muzzle eval`
-//! JSON output. [`parse`] reads any RFC 8259 document back into the same
+//! container builds offline), so reports are rendered by hand here: RFC
+//! 8259 output, stable key order, two-space indent, integral numbers
+//! printed without a fraction. `muzzle` prints its reports through the
+//! same type, so `muzzle eval --format json` and `BENCH.json` share one
+//! encoding. [`parse`] reads any RFC 8259 document back into the same
 //! value model (Rust's shortest-roundtrip float formatting makes
-//! render-then-parse bit-exact), which is what `paper_eval diff` and the
-//! `paper_eval explain` parity gate walk.
+//! render-then-parse bit-exact), which is what `paper_eval check` and
+//! `paper_eval diff` walk.
 
 use std::fmt;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
-#[allow(dead_code)] // `Null` is part of the value model even while unemitted
 pub enum Json {
     /// `null`.
     Null,
@@ -45,6 +44,30 @@ impl Json {
     /// Integer value (exact for |n| ≤ 2⁵³).
     pub fn int(n: usize) -> Json {
         Json::Num(n as f64)
+    }
+
+    /// This object extended with one more `(key, value)` pair.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self` is not an object.
+    pub fn with_field(self, key: &str, value: Json) -> Json {
+        match self {
+            Json::Obj(mut pairs) => {
+                pairs.push((key.to_owned(), value));
+                Json::Obj(pairs)
+            }
+            _ => panic!("with_field requires an object"),
+        }
+    }
+
+    /// The value at a dotted object path (`"clock.improved"`), if every
+    /// segment names a key of an object.
+    pub fn get(&self, path: &str) -> Option<&Json> {
+        path.split('.').try_fold(self, |value, key| match value {
+            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        })
     }
 }
 
@@ -153,9 +176,8 @@ pub fn parse(text: &str) -> Result<Json, String> {
 }
 
 /// `value` with every object entry whose key satisfies `drop` removed,
-/// recursively — how the `paper_eval explain` parity gate strips
-/// wall-clock and instrumentation fields before asserting two snapshots
-/// bit-for-bit equal.
+/// recursively — how wall-clock and instrumentation fields are stripped
+/// before two documents are compared bit for bit.
 pub fn strip_keys(value: &Json, drop: &dyn Fn(&str) -> bool) -> Json {
     match value {
         Json::Arr(items) => Json::Arr(items.iter().map(|v| strip_keys(v, drop)).collect()),

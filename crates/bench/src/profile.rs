@@ -1,196 +1,154 @@
-//! The `paper_eval profile` snapshot: the paper suite's quality rows
-//! (the same values `muzzle eval --suite paper --timing realistic
-//! --format json` reports) plus a per-benchmark instrumentation profile
-//! recorded by `qccd-obs` — phase wall-time breakdowns, hot-path
-//! counters, and the delta-scorer hit rate.
+//! The `paper_eval snapshot` document: the paper suite compiled once
+//! under realistic timing and recorded as `BENCH.json`.
 //!
-//! Instrumentation observes, never decides: every benchmark is compiled
-//! twice, once with the recorder off and once with it on, and every
-//! quality figure of the two runs is asserted equal before the snapshot
-//! is written. A divergence is a bug in the instrumentation and panics
-//! rather than silently snapshotting tainted rows.
+//! Each benchmark's object is its `muzzle eval --suite paper --timing
+//! realistic --format json` row ([`crate::report::suite_json`]) plus four
+//! trailing subtrees:
+//!
+//! * `profile` — the `qccd-obs` instrumentation of a second, recorded
+//!   run: phase wall times, hot-path counters, histograms and the
+//!   delta-scorer hit rate;
+//! * `explain` — the clock schedule's makespan attributed along its
+//!   critical path;
+//! * `fidelity` — the clock schedule's log fidelity decomposed into
+//!   per-gate duration and motional loss;
+//! * `jobs` — wall-clock seconds of the clock pipeline at `--jobs` 1
+//!   and 4 (informational by their `compile_seconds` prefix).
+//!
+//! The assertions that need live compiles run here and land in the
+//! document as top-level flags, so [`crate::check::check_snapshot`]
+//! gates them with everything else:
+//!
+//! * `all_instrumented_eq_plain` — observing never decides: the recorded
+//!   run's quality figures and clock schedule equal the plain run's;
+//! * `all_delta_eq_full` — the clock race under the full re-lower oracle
+//!   (`--score-mode full`) returns the delta scorer's result bit for bit;
+//! * `all_jobs_deterministic` — `compile_clock` at `--jobs` 1, 4 and 8
+//!   returns the row's clock result bit for bit.
 
-use crate::json::Json;
-use crate::{compare_timed, ComparisonRow};
-use qccd_circuit::generators::paper_suite;
-use qccd_circuit::parser::parse_program;
-use qccd_core::{compile_with_mapping, CompilerConfig};
-use qccd_machine::{InitialMapping, MachineSpec, TrapId};
-use qccd_sim::SimParams;
-use qccd_timing::TimingModel;
+use crate::json::{strip_keys, Json};
+use crate::report::{fig4_worked_example, row_json, suite_json};
+use crate::{compare_timed, ComparedBenchmark, ComparisonRow, TIMING_RUNS};
+use qccd_circuit::generators::{paper_suite, BenchmarkCircuit};
+use qccd_core::{CompileResult, CompilerConfig, ScoreMode};
+use qccd_machine::MachineSpec;
+use qccd_sim::{FidelityAttribution, LossTerm, SimParams};
+use qccd_timing::{attribute_path, critical_path, TimingModel};
+use std::time::Instant;
 
-/// One benchmark's quality row plus its recorded instrumentation.
-pub struct BenchmarkProfile {
-    /// The quality row (recorded while instrumented; asserted equal to
-    /// the uninstrumented reference run).
-    pub row: ComparisonRow,
-    /// Per-phase wall-time breakdown, hottest self-time first.
-    pub phases: Vec<qccd_obs::PhaseStat>,
-    /// Every hot-path counter touched during the run, sorted by name.
-    pub counters: Vec<(String, u64)>,
-    /// Value-distribution histograms recorded during the run, sorted by
-    /// name (e.g. candidate scores per clock round).
-    pub histograms: Vec<qccd_obs::HistogramSnapshot>,
-    /// `timing.delta_hits / (delta_hits + clone_fallbacks)` — the share
-    /// of speculative candidates priced by the O(delta) path. Shuttle-only
-    /// candidate walks keep this at exactly 1.
-    pub delta_hit_rate: f64,
-    /// Wall time between the first and last recorded span, µs.
-    pub wall_us: f64,
+/// Every value the report renders for `row` except its wall-clock
+/// compile seconds — what instrumentation must leave unchanged.
+fn quality(row: &ComparisonRow) -> Json {
+    strip_keys(&row_json(row), &|k| k.starts_with("compile_seconds"))
 }
 
-/// Quality fields of `row` that must be invariant under instrumentation —
-/// everything the eval report derives except wall-clock compile seconds.
-fn quality_key(row: &ComparisonRow) -> Vec<(&'static str, f64)> {
-    vec![
-        ("baseline_shuttles", row.baseline_shuttles as f64),
-        ("optimized_shuttles", row.optimized_shuttles as f64),
-        ("congestion_shuttles", row.congestion_shuttles as f64),
-        ("transport_depth", row.transport_depth as f64),
-        ("packed_shuttles", row.packed_shuttles as f64),
-        ("packed_depth", row.packed_depth as f64),
-        (
-            "lookahead_timed_makespan_us",
-            row.lookahead_timed_makespan_us,
-        ),
-        ("packed_timed_makespan_us", row.packed_timed_makespan_us),
-        ("clock_timed_makespan_us", row.clock_timed_makespan_us),
-        ("clock_ties", row.clock_stats.clock_ties as f64),
-        ("batched_layers", row.clock_stats.batched_layers as f64),
-        ("batched_hops", row.clock_stats.batched_hops as f64),
-        (
-            "clock_improved",
-            if row.clock_stats.improved { 1.0 } else { 0.0 },
-        ),
-        ("baseline_fidelity", row.baseline_sim.program_fidelity),
-        ("optimized_fidelity", row.optimized_sim.program_fidelity),
-        ("transport_fidelity", row.transport_sim.program_fidelity),
-        ("packed_fidelity", row.packed_sim.program_fidelity),
-        ("clock_fidelity", row.clock_sim.program_fidelity),
-        ("baseline_makespan_us", row.baseline_sim.makespan_us),
-        ("optimized_makespan_us", row.optimized_sim.makespan_us),
-        (
-            "serial_timed_makespan_us",
-            row.optimized_sim.timed_makespan_us,
-        ),
-        (
-            "congestion_timed_makespan_us",
-            row.transport_sim.timed_makespan_us,
-        ),
-        ("zone_moves", row.transport_sim.zone_moves as f64),
-        (
-            "junction_crossings",
-            row.transport_sim.junction_crossings as f64,
-        ),
-    ]
+/// `true` when two compile results are the same program: schedule,
+/// transport rounds, counters and makespan bits.
+fn same_result(a: &CompileResult, b: &CompileResult) -> bool {
+    a.schedule == b.schedule
+        && a.transport == b.transport
+        && a.stats == b.stats
+        && a.timeline.makespan_us.to_bits() == b.timeline.makespan_us.to_bits()
 }
 
-/// Runs the full paper suite twice per benchmark — an uninstrumented
-/// reference pass and an instrumented pass — asserting quality parity,
-/// and returns the instrumented rows with their recorded profiles.
+/// Compiles the paper suite under realistic timing and returns the
+/// `BENCH.json` document (see the module docs for its layout and the
+/// flags it carries). A false flag is reported on stderr naming the
+/// benchmark; gating it is [`crate::check::check_snapshot`]'s job.
 ///
 /// # Panics
 ///
-/// Panics if instrumentation changed any quality figure (the
-/// observes-never-decides contract), or if any speculative candidate fell
-/// back to the clone oracle (`timing.clone_fallbacks`) — candidate walks
-/// are shuttle-only, so the delta scorer must serve 100% of them.
-pub fn profile_paper_suite(
-    spec: &MachineSpec,
-    params: &SimParams,
-    model: &TimingModel,
-) -> Vec<BenchmarkProfile> {
-    paper_suite()
-        .iter()
-        .map(|bench| {
-            qccd_obs::info("profile", || format!("  {} (reference)", bench.name));
-            let reference = compare_timed(bench, spec, params, model);
+/// Panics if a benchmark fails to compile or validate, if the Fig. 4
+/// example fails to build, or if a critical path is not contiguous.
+pub fn paper_snapshot(spec: &MachineSpec, params: &SimParams) -> Json {
+    let model = TimingModel::realistic();
+    let mut rows: Vec<ComparisonRow> = Vec::new();
+    let mut extras: Vec<Vec<(String, Json)>> = Vec::new();
+    let mut instrumented_eq_plain = true;
+    let mut delta_eq_full = true;
+    let mut jobs_deterministic = true;
+    for bench in &paper_suite() {
+        qccd_obs::info("snapshot", || format!("  {}", bench.name));
+        let plain = compare_timed(bench, spec, params, &model);
 
-            qccd_obs::info("profile", || format!("  {} (instrumented)", bench.name));
-            qccd_obs::reset();
-            qccd_obs::enable();
-            let row = compare_timed(bench, spec, params, model);
-            qccd_obs::disable();
-            let phases = qccd_obs::phase_stats();
-            let counters = qccd_obs::counters();
-            let histograms = qccd_obs::histograms();
-            let wall_us = qccd_obs::wall_us();
+        qccd_obs::reset();
+        qccd_obs::enable();
+        let recorded = compare_timed(bench, spec, params, &model);
+        qccd_obs::disable();
+        let profile = recorded_profile_json();
+        if quality(&recorded.row) != quality(&plain.row)
+            || !same_result(&recorded.clock, &plain.clock)
+        {
+            eprintln!("{}: instrumentation changed the result", bench.name);
+            instrumented_eq_plain = false;
+        }
 
-            for ((name, reference), (_, instrumented)) in
-                quality_key(&reference).iter().zip(quality_key(&row).iter())
-            {
-                assert!(
-                    reference == instrumented,
-                    "{}: instrumentation changed {name}: {reference} vs {instrumented}",
-                    bench.name,
-                );
+        let (full, full_stats) = qccd_pack::race_clock(
+            plain.packed.clone(),
+            &bench.circuit,
+            spec,
+            &CompilerConfig::optimized()
+                .with_timing(model)
+                .with_score_mode(ScoreMode::Full),
+        )
+        .expect("benchmark circuits compile under the clock objective");
+        if full_stats != plain.row.clock_stats || !same_result(&full, &plain.clock) {
+            eprintln!("{}: delta and full scoring diverged", bench.name);
+            delta_eq_full = false;
+        }
+
+        let (jobs, deterministic) = jobs_json(bench, spec, &model, &plain);
+        jobs_deterministic &= deterministic;
+        extras.push(vec![
+            ("profile".to_owned(), profile),
+            (
+                "explain".to_owned(),
+                explain_json(bench, &plain.clock, &model),
+            ),
+            (
+                "fidelity".to_owned(),
+                fidelity_json(&plain.clock_attribution),
+            ),
+            ("jobs".to_owned(), jobs),
+        ]);
+        rows.push(plain.row);
+    }
+
+    let fig4 = fig4_worked_example().expect("the Fig. 4 worked example compiles");
+    let mut doc = suite_json("paper", spec, "realistic", &fig4, &rows);
+    if let Json::Obj(top) = &mut doc {
+        if let Some((_, Json::Arr(benchmarks))) = top.iter_mut().find(|(k, _)| k == "benchmarks") {
+            for (benchmark, extra) in benchmarks.iter_mut().zip(extras) {
+                if let Json::Obj(fields) = benchmark {
+                    fields.extend(extra);
+                }
             }
-            let hits = qccd_obs::counter_value("timing.delta_hits");
-            let fallbacks = qccd_obs::counter_value("timing.clone_fallbacks");
-            assert!(
-                fallbacks == 0,
-                "{}: {fallbacks} candidates fell back to the clone oracle \
-                 (candidate walks are shuttle-only)",
-                bench.name,
-            );
-            let delta_hit_rate = if hits + fallbacks == 0 {
-                1.0
-            } else {
-                hits as f64 / (hits + fallbacks) as f64
-            };
-            BenchmarkProfile {
-                row,
-                phases,
-                counters,
-                histograms,
-                delta_hit_rate,
-                wall_us,
-            }
-        })
-        .collect()
+        }
+    }
+    doc.with_field("all_jobs_deterministic", Json::Bool(jobs_deterministic))
+        .with_field(
+            "all_instrumented_eq_plain",
+            Json::Bool(instrumented_eq_plain),
+        )
+        .with_field("all_delta_eq_full", Json::Bool(delta_eq_full))
 }
 
-/// The Fig. 4 worked example's shuttle counts under both policies —
-/// replicated from the `muzzle eval` preamble so the snapshot carries the
-/// same header rows.
-fn fig4_worked_example() -> (usize, usize) {
-    let circuit = parse_program(
-        "MS q[1], q[2];\nMS q[2], q[3];\nMS q[1], q[2];\nMS q[2], q[4];",
-        5,
-    )
-    .expect("the Fig. 4 program parses");
-    let spec = MachineSpec::linear(2, 4, 1).expect("the Fig. 4 machine builds");
-    let mapping = InitialMapping::from_traps(
-        &spec,
-        vec![TrapId(0), TrapId(0), TrapId(1), TrapId(1), TrapId(1)],
-    )
-    .expect("the Fig. 4 mapping fits");
-    let baseline = compile_with_mapping(
-        &circuit,
-        &spec,
-        &CompilerConfig::baseline(),
-        mapping.clone(),
-    )
-    .expect("the Fig. 4 program compiles");
-    let optimized = compile_with_mapping(&circuit, &spec, &CompilerConfig::optimized(), mapping)
-        .expect("the Fig. 4 program compiles");
-    (baseline.stats.shuttles, optimized.stats.shuttles)
-}
-
-fn sim_json(fidelity: f64, makespan_us: f64, compile_s: f64) -> Json {
-    Json::obj(vec![
-        ("program_fidelity", Json::Num(fidelity)),
-        ("makespan_us", Json::Num(makespan_us)),
-        ("compile_seconds", Json::Num(compile_s)),
-    ])
-}
-
-fn profile_json(p: &BenchmarkProfile) -> Json {
+/// The `profile` subtree from what the `qccd-obs` recorder holds.
+fn recorded_profile_json() -> Json {
+    let hits = qccd_obs::counter_value("timing.delta_hits");
+    let fallbacks = qccd_obs::counter_value("timing.clone_fallbacks");
+    // Shuttle-only candidate walks keep this at exactly 1: every
+    // speculative candidate is priced by the O(delta) path.
+    let delta_hit_rate = if hits + fallbacks == 0 {
+        1.0
+    } else {
+        hits as f64 / (hits + fallbacks) as f64
+    };
     Json::obj(vec![
         (
             "phases",
             Json::Arr(
-                p.phases
+                qccd_obs::phase_stats()
                     .iter()
                     .map(|ph| {
                         Json::obj(vec![
@@ -206,16 +164,16 @@ fn profile_json(p: &BenchmarkProfile) -> Json {
         (
             "counters",
             Json::Obj(
-                p.counters
-                    .iter()
-                    .map(|(name, value)| (name.clone(), Json::int(*value as usize)))
+                qccd_obs::counters()
+                    .into_iter()
+                    .map(|(name, value)| (name, Json::int(value as usize)))
                     .collect(),
             ),
         ),
         (
             "histograms",
             Json::Arr(
-                p.histograms
+                qccd_obs::histograms()
                     .iter()
                     .map(|h| {
                         Json::obj(vec![
@@ -229,247 +187,144 @@ fn profile_json(p: &BenchmarkProfile) -> Json {
                     .collect(),
             ),
         ),
-        ("delta_hit_rate", Json::Num(p.delta_hit_rate)),
-        ("wall_us", Json::Num(p.wall_us)),
+        ("delta_hit_rate", Json::Num(delta_hit_rate)),
+        ("wall_us", Json::Num(qccd_obs::wall_us())),
     ])
 }
 
-/// Renders the `BENCH_pr7.json` snapshot: the `muzzle eval --suite paper
-/// --format json` report's exact structure and key order, with one extra
-/// trailing `"profile"` object per benchmark. (`muzzle eval`'s extra
-/// `"utilization"` object is intentionally omitted: snapshots pin the
-/// quality trajectory, and utilization is derived, not decided.)
-pub fn render_snapshot(
-    machine: &MachineSpec,
-    timing: &str,
-    profiles: &[BenchmarkProfile],
-) -> String {
-    render_snapshot_with(machine, timing, profiles, &[])
-}
-
-/// [`render_snapshot`] plus one trailing `"explain"` value per benchmark
-/// (`explains[i]` rides after `"profile"` in benchmark *i*). An empty
-/// slice reproduces the PR 7 document byte for byte — `paper_eval diff`
-/// then sees the explain subtree as purely additive.
-pub fn render_snapshot_with(
-    machine: &MachineSpec,
-    timing: &str,
-    profiles: &[BenchmarkProfile],
-    explains: &[Json],
-) -> String {
-    render_snapshot_full(machine, timing, profiles, explains, &[])
-}
-
-/// [`render_snapshot_with`] plus one trailing `"fidelity"` value per
-/// benchmark (`fidelities[i]` rides after `"explain"` in benchmark *i*).
-/// An empty slice reproduces the PR 8 document byte for byte — each
-/// snapshot generation stays purely additive over its predecessor.
-pub fn render_snapshot_full(
-    machine: &MachineSpec,
-    timing: &str,
-    profiles: &[BenchmarkProfile],
-    explains: &[Json],
-    fidelities: &[Json],
-) -> String {
-    render_snapshot_jobs(machine, timing, profiles, explains, fidelities, &[], None)
-}
-
-/// [`render_snapshot_full`] plus one trailing `"jobs"` value per benchmark
-/// (`jobs[i]` rides after `"fidelity"` in benchmark *i* — wall-clock
-/// `compile_seconds_jobs*` figures, informational by key prefix) and an
-/// optional top-level `"all_jobs_deterministic"` flag (an `all_` key, so a
-/// `true` → `false` flip gates as a regression). Empty slice + `None`
-/// reproduce the PR 9 document byte for byte.
-pub fn render_snapshot_jobs(
-    machine: &MachineSpec,
-    timing: &str,
-    profiles: &[BenchmarkProfile],
-    explains: &[Json],
-    fidelities: &[Json],
-    jobs: &[Json],
-    all_jobs_deterministic: Option<bool>,
-) -> String {
+/// The clock schedule's makespan attributed along its critical path.
+fn explain_json(bench: &BenchmarkCircuit, clock: &CompileResult, model: &TimingModel) -> Json {
+    let path = critical_path(&clock.timeline, &bench.circuit);
     assert!(
-        jobs.is_empty() || jobs.len() == profiles.len(),
-        "one jobs value per benchmark, or none"
+        path.is_contiguous(),
+        "{}: critical path is not contiguous",
+        bench.name
     );
-    assert!(
-        explains.is_empty() || explains.len() == profiles.len(),
-        "one explain value per benchmark, or none"
-    );
-    assert!(
-        fidelities.is_empty() || fidelities.len() == profiles.len(),
-        "one fidelity value per benchmark, or none"
-    );
-    let rows: Vec<&ComparisonRow> = profiles.iter().map(|p| &p.row).collect();
-    let (fig4_baseline, fig4_optimized) = fig4_worked_example();
-    let benchmarks = profiles
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let r = &p.row;
-            let mut fields = vec![
-                ("name", Json::str(&r.name)),
-                ("qubits", Json::int(r.qubits as usize)),
-                ("two_qubit_gates", Json::int(r.two_qubit_gates)),
-                ("baseline_shuttles", Json::int(r.baseline_shuttles)),
-                ("optimized_shuttles", Json::int(r.optimized_shuttles)),
-                ("delta", Json::Num(r.delta() as f64)),
-                ("delta_percent", Json::Num(r.delta_percent())),
-                ("fidelity_improvement", Json::Num(r.fidelity_improvement())),
-                (
-                    "baseline",
-                    sim_json(
-                        r.baseline_sim.program_fidelity,
-                        r.baseline_sim.makespan_us,
-                        r.baseline_compile_s,
-                    ),
-                ),
-                (
-                    "optimized",
-                    sim_json(
-                        r.optimized_sim.program_fidelity,
-                        r.optimized_sim.makespan_us,
-                        r.optimized_compile_s,
-                    ),
-                ),
-                (
-                    "congestion_router",
-                    Json::obj(vec![
-                        ("shuttles", Json::int(r.congestion_shuttles)),
-                        ("transport_depth", Json::int(r.transport_depth)),
-                        ("depth_delta", Json::Num(r.depth_delta() as f64)),
-                        ("makespan_us", Json::Num(r.transport_sim.makespan_us)),
-                        (
-                            "program_fidelity",
-                            Json::Num(r.transport_sim.program_fidelity),
-                        ),
-                    ]),
-                ),
-                (
-                    "timed",
-                    Json::obj(vec![
-                        (
-                            "serial_makespan_us",
-                            Json::Num(r.optimized_sim.timed_makespan_us),
-                        ),
-                        (
-                            "congestion_makespan_us",
-                            Json::Num(r.transport_sim.timed_makespan_us),
-                        ),
-                        ("zone_moves", Json::int(r.transport_sim.zone_moves)),
-                        (
-                            "junction_crossings",
-                            Json::int(r.transport_sim.junction_crossings),
-                        ),
-                    ]),
-                ),
-                (
-                    "packed",
-                    Json::obj(vec![
-                        ("shuttles", Json::int(r.packed_shuttles)),
-                        ("transport_depth", Json::int(r.packed_depth)),
-                        (
-                            "lookahead_timed_makespan_us",
-                            Json::Num(r.lookahead_timed_makespan_us),
-                        ),
-                        (
-                            "packed_timed_makespan_us",
-                            Json::Num(r.packed_timed_makespan_us),
-                        ),
-                        ("program_fidelity", Json::Num(r.packed_sim.program_fidelity)),
-                    ]),
-                ),
-                (
-                    "clock",
-                    Json::obj(vec![
-                        (
-                            "clock_timed_makespan_us",
-                            Json::Num(r.clock_timed_makespan_us),
-                        ),
-                        (
-                            "candidate_makespan_us",
-                            Json::Num(r.clock_stats.clock_makespan_us),
-                        ),
-                        ("clock_ties", Json::int(r.clock_stats.clock_ties)),
-                        ("batched_layers", Json::int(r.clock_stats.batched_layers)),
-                        ("batched_hops", Json::int(r.clock_stats.batched_hops)),
-                        ("improved", Json::Bool(r.clock_stats.improved)),
-                        ("compile_seconds", Json::Num(r.clock_compile_s)),
-                        ("compile_seconds_full", Json::Num(r.clock_full_compile_s)),
-                        ("program_fidelity", Json::Num(r.clock_sim.program_fidelity)),
-                    ]),
-                ),
-                ("profile", profile_json(p)),
-            ];
-            if let Some(explain) = explains.get(i) {
-                fields.push(("explain", explain.clone()));
-            }
-            if let Some(fidelity) = fidelities.get(i) {
-                fields.push(("fidelity", fidelity.clone()));
-            }
-            if let Some(job) = jobs.get(i) {
-                fields.push(("jobs", job.clone()));
-            }
-            Json::obj(fields)
-        })
-        .collect();
-
-    let all_leq = rows
-        .iter()
-        .all(|r| r.optimized_shuttles <= r.baseline_shuttles);
-    let congestion_leq = rows
-        .iter()
-        .all(|r| r.congestion_shuttles <= r.optimized_shuttles);
-    let depth_wins = rows
-        .iter()
-        .filter(|r| r.transport_depth < r.optimized_shuttles)
-        .count();
-    let timed_makespan_wins = rows
-        .iter()
-        .filter(|r| r.transport_sim.timed_makespan_us <= r.optimized_sim.timed_makespan_us)
-        .count();
-    let packed_leq_lookahead = rows
-        .iter()
-        .all(|r| r.packed_timed_makespan_us <= r.lookahead_timed_makespan_us);
-    let packed_strict_wins = rows
-        .iter()
-        .filter(|r| r.packed_timed_makespan_us < r.lookahead_timed_makespan_us)
-        .count();
-    let clock_leq_packed = rows
-        .iter()
-        .all(|r| r.clock_timed_makespan_us <= r.packed_timed_makespan_us);
-    let clock_strict_wins = rows.iter().filter(|r| r.clock_stats.improved).count();
-
-    let mut top = vec![
-        ("suite", Json::str("paper")),
-        ("machine", Json::str(machine.to_string())),
-        ("timing", Json::str(timing)),
+    let a = attribute_path(&clock.timeline, model, &path);
+    Json::obj(vec![
+        ("makespan_us", Json::Num(a.makespan_us)),
+        ("critical_path_steps", Json::int(path.steps.len())),
         (
-            "fig4_worked_example",
+            "blame_counts",
+            Json::Obj(
+                path.blame_counts()
+                    .iter()
+                    .map(|(b, n)| (b.label().to_owned(), Json::int(*n)))
+                    .collect(),
+            ),
+        ),
+        (
+            "attribution",
             Json::obj(vec![
-                ("baseline_shuttles", Json::int(fig4_baseline)),
-                ("optimized_shuttles", Json::int(fig4_optimized)),
+                ("gate_us", Json::Num(a.gate_us)),
+                ("flight_us", Json::Num(a.flight_us)),
+                ("split_merge_us", Json::Num(a.split_merge_us)),
+                ("junction_us", Json::Num(a.junction_us)),
+                ("zone_move_us", Json::Num(a.zone_move_us)),
+                ("idle_wait_us", Json::Num(a.idle_wait_us)),
+                ("total_us", Json::Num(a.total_us())),
+                (
+                    "identity",
+                    Json::Bool(a.total_us().to_bits() == a.makespan_us.to_bits()),
+                ),
             ]),
         ),
-        ("benchmarks", Json::Arr(benchmarks)),
-        ("all_optimized_leq_baseline", Json::Bool(all_leq)),
-        ("all_congestion_leq_serial", Json::Bool(congestion_leq)),
-        ("depth_strictly_lower_count", Json::int(depth_wins)),
+    ])
+}
+
+/// The loss-decomposition totals, the duration/motional shares, and the
+/// top-3 worst gates and hottest traps by blamed heat loss.
+fn fidelity_json(attr: &FidelityAttribution) -> Json {
+    Json::obj(vec![
         (
-            "timed_makespan_leq_serial_count",
-            Json::int(timed_makespan_wins),
+            "log_program_fidelity",
+            Json::Num(attr.report.log_program_fidelity),
         ),
-        ("all_packed_leq_lookahead", Json::Bool(packed_leq_lookahead)),
-        ("packed_strict_win_count", Json::int(packed_strict_wins)),
-        ("all_clock_leq_packed", Json::Bool(clock_leq_packed)),
-        ("clock_strict_win_count", Json::int(clock_strict_wins)),
-    ];
-    if let Some(deterministic) = all_jobs_deterministic {
-        top.push(("all_jobs_deterministic", Json::Bool(deterministic)));
-    }
-    let value = Json::obj(top);
-    let mut text = value.to_string();
-    text.push('\n');
-    text
+        ("total_log_loss", Json::Num(attr.total_loss())),
+        ("duration_loss", Json::Num(attr.gate_duration_loss)),
+        ("motional_loss", Json::Num(attr.gate_motional_loss)),
+        ("zero_point_loss", Json::Num(attr.gate_zero_point_loss)),
+        ("heat_loss", Json::Num(attr.gate_heat_loss)),
+        ("shuttle_pulse_loss", Json::Num(attr.shuttle_pulse_loss)),
+        ("duration_share", Json::Num(attr.duration_share())),
+        ("motional_share", Json::Num(attr.motional_share())),
+        ("saturated_gates", Json::int(attr.saturated_gates)),
+        ("identity", Json::Bool(attr.identity_holds())),
+        (
+            "worst_gates",
+            Json::Arr(
+                attr.worst_gates(3)
+                    .iter()
+                    .filter_map(|t| match t {
+                        LossTerm::Gate {
+                            gate,
+                            trap,
+                            log_loss,
+                            n_bar,
+                            ..
+                        } => Some(Json::obj(vec![
+                            ("gate", Json::int(gate.index())),
+                            ("trap", Json::int(trap.index())),
+                            ("log_loss", Json::Num(*log_loss)),
+                            ("n_bar", Json::Num(*n_bar)),
+                        ])),
+                        LossTerm::Shuttle { .. } => None,
+                    })
+                    .collect(),
+            ),
+        ),
+        (
+            "hottest_traps",
+            Json::Arr(
+                attr.hottest_traps(3)
+                    .iter()
+                    .map(|(trap, blamed, gross)| {
+                        Json::obj(vec![
+                            ("trap", Json::int(*trap)),
+                            ("blamed_log_loss", Json::Num(*blamed)),
+                            ("gross_quanta", Json::Num(*gross)),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+    ])
+}
+
+/// Runs `compile_clock` at `--jobs` 1 and 4 ([`TIMING_RUNS`] times each,
+/// keeping the minimum wall time) and once at 8, and returns the `jobs`
+/// subtree plus whether every run returned `compared`'s clock result and
+/// stats bit for bit.
+fn jobs_json(
+    bench: &BenchmarkCircuit,
+    spec: &MachineSpec,
+    model: &TimingModel,
+    compared: &ComparedBenchmark,
+) -> (Json, bool) {
+    let config = CompilerConfig::optimized().with_timing(*model);
+    let mut deterministic = true;
+    let mut min_seconds = |jobs: usize, runs: usize| {
+        let mut best = f64::INFINITY;
+        for _ in 0..runs {
+            let start = Instant::now();
+            let (result, stats) =
+                qccd_pack::compile_clock(&bench.circuit, spec, &config.with_jobs(jobs))
+                    .expect("benchmark circuits compile under the clock objective");
+            best = best.min(start.elapsed().as_secs_f64());
+            if stats != compared.row.clock_stats || !same_result(&result, &compared.clock) {
+                eprintln!("{}: clock result diverged at jobs={jobs}", bench.name);
+                deterministic = false;
+            }
+        }
+        best
+    };
+    let secs1 = min_seconds(1, TIMING_RUNS);
+    let secs4 = min_seconds(4, TIMING_RUNS);
+    min_seconds(8, 1);
+    let json = Json::obj(vec![
+        ("compile_seconds_jobs1", Json::Num(secs1)),
+        ("compile_seconds_jobs4", Json::Num(secs4)),
+        ("compile_seconds_speedup_jobs4", Json::Num(secs1 / secs4)),
+    ]);
+    (json, deterministic)
 }

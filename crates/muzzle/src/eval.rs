@@ -7,49 +7,13 @@
 //! excess-capacity policy ping-pongs ion 2 for 4 shuttles while the
 //! future-ops policy moves ion 1 once.
 
-use crate::output::{csv_row, Json};
+use crate::output::csv_row;
 use crate::{emit, parse_common};
-use qccd_bench::{compare_timed_jobs, ComparisonRow, RANDOM_SUITE_SEED};
+use qccd_bench::report::{fig4_worked_example, suite_json, Fig4, SuiteChecks};
+use qccd_bench::{compare_timed, ComparisonRow, RANDOM_SUITE_SEED};
 use qccd_circuit::generators::{paper_suite, random_suite, BenchmarkCircuit};
-use qccd_circuit::parser::parse_program;
-use qccd_core::{compile_with_mapping, CompilerConfig};
-use qccd_machine::{InitialMapping, MachineSpec, TrapId};
+use qccd_machine::MachineSpec;
 use qccd_sim::SimParams;
-
-/// Shuttle counts of the Fig. 4 worked example under both policies.
-struct Fig4 {
-    baseline_shuttles: usize,
-    optimized_shuttles: usize,
-}
-
-/// Runs the paper's Fig. 4 worked example: `MS q1,q2; MS q2,q3; MS q1,q2;
-/// MS q2,q4;` on two traps of capacity 4 with ions 0-1 in T0 and 2-4 in T1.
-fn fig4_worked_example() -> Result<Fig4, String> {
-    let circuit = parse_program(
-        "MS q[1], q[2];\nMS q[2], q[3];\nMS q[1], q[2];\nMS q[2], q[4];",
-        5,
-    )
-    .map_err(|e| e.to_string())?;
-    let spec = MachineSpec::linear(2, 4, 1).map_err(|e| e.to_string())?;
-    let mapping = InitialMapping::from_traps(
-        &spec,
-        vec![TrapId(0), TrapId(0), TrapId(1), TrapId(1), TrapId(1)],
-    )
-    .map_err(|e| e.to_string())?;
-    let baseline = compile_with_mapping(
-        &circuit,
-        &spec,
-        &CompilerConfig::baseline(),
-        mapping.clone(),
-    )
-    .map_err(|e| e.to_string())?;
-    let optimized = compile_with_mapping(&circuit, &spec, &CompilerConfig::optimized(), mapping)
-        .map_err(|e| e.to_string())?;
-    Ok(Fig4 {
-        baseline_shuttles: baseline.stats.shuttles,
-        optimized_shuttles: optimized.stats.shuttles,
-    })
-}
 
 /// Scaled-down versions of the paper's benchmarks (the integration suite),
 /// for quick runs and CI smoke tests.
@@ -151,76 +115,19 @@ pub fn cmd_eval(args: &[String]) -> Result<(), String> {
         .iter()
         .map(|bench| {
             qccd_obs::info("eval", || format!("  {}", bench.name));
-            compare_timed_jobs(bench, &machine, &params, &model, opts.jobs)
+            compare_timed(bench, &machine, &params, &model).row
         })
         .collect();
-    let all_leq = rows
-        .iter()
-        .all(|r| r.optimized_shuttles <= r.baseline_shuttles);
-    let congestion_leq = rows
-        .iter()
-        .all(|r| r.congestion_shuttles <= r.optimized_shuttles);
-    let depth_wins = rows
-        .iter()
-        .filter(|r| r.transport_depth < r.optimized_shuttles)
-        .count();
-    let timed_makespan_wins = rows
-        .iter()
-        .filter(|r| r.transport_sim.timed_makespan_us <= r.optimized_sim.timed_makespan_us)
-        .count();
-    let packed_leq_lookahead = rows
-        .iter()
-        .all(|r| r.packed_timed_makespan_us <= r.lookahead_timed_makespan_us);
-    let packed_strict_wins = rows
-        .iter()
-        .filter(|r| r.packed_timed_makespan_us < r.lookahead_timed_makespan_us)
-        .count();
-    let clock_leq_packed = rows
-        .iter()
-        .all(|r| r.clock_timed_makespan_us <= r.packed_timed_makespan_us);
-    let clock_strict_wins = rows.iter().filter(|r| r.clock_stats.improved).count();
-    let checks = EvalChecks {
-        all_leq,
-        congestion_leq,
-        depth_wins,
-        timed_makespan_wins,
-        packed_leq_lookahead,
-        packed_strict_wins,
-        clock_leq_packed,
-        clock_strict_wins,
-    };
 
     let report = match opts.format.as_str() {
-        "json" => render_json(&suite_name, &machine, &opts.timing, &fig4, &rows, &checks),
+        "json" => format!(
+            "{}\n",
+            suite_json(&suite_name, &machine, &opts.timing, &fig4, &rows)
+        ),
         "csv" => render_csv(&opts.timing, &rows),
-        _ => render_text(&suite_name, &machine, &opts.timing, &fig4, &rows, &checks),
+        _ => render_text(&suite_name, &machine, &opts.timing, &fig4, &rows),
     };
     emit(&report, &opts.out)
-}
-
-/// Suite-level acceptance flags reported alongside the per-benchmark rows.
-struct EvalChecks {
-    /// Optimized shuttle count ≤ baseline on every benchmark (Table II).
-    all_leq: bool,
-    /// Congestion-routed shuttle count ≤ serial on every benchmark.
-    congestion_leq: bool,
-    /// Benchmarks whose concurrent transport depth is strictly below the
-    /// serial shuttle count.
-    depth_wins: usize,
-    /// Benchmarks whose congestion-routed *timed* makespan (under the
-    /// selected timing model) is at or below the serial router's.
-    timed_makespan_wins: usize,
-    /// Packed timed makespan ≤ lookahead on every benchmark (the packer's
-    /// never-regress guarantee, re-checked end to end).
-    packed_leq_lookahead: bool,
-    /// Benchmarks where packing *strictly* beat lookahead on the clock.
-    packed_strict_wins: usize,
-    /// Clock-objective timed makespan ≤ packed on every benchmark (the
-    /// clock pipeline's never-regress guarantee, re-checked end to end).
-    clock_leq_packed: bool,
-    /// Benchmarks where the clock objective *strictly* beat the packed
-    /// stack on the device clock.
-    clock_strict_wins: usize,
 }
 
 fn render_text(
@@ -229,8 +136,8 @@ fn render_text(
     timing: &str,
     fig4: &Fig4,
     rows: &[ComparisonRow],
-    checks: &EvalChecks,
 ) -> String {
+    let checks = SuiteChecks::of(rows);
     let mut out = String::new();
     out.push_str(&format!(
         "# muzzle eval — suite `{suite}` on {machine} (timing {timing})\n\n"
@@ -262,25 +169,26 @@ fn render_text(
         "Mot%"
     ));
     for r in rows {
+        let p = &r.policy;
         out.push_str(&format!(
             "{:<16} {:>6} {:>9} {:>9} {:>10} {:>6} {:>7.2}% {:>6} {:>6} {:>12.1} {:>12.1} {:>12.1} {:>12.1} {:>6} {:>4.1}% {:>4} {:>11.2}X {:>4.1}% {:>4.1}%\n",
-            r.name,
-            r.qubits,
-            r.two_qubit_gates,
-            r.baseline_shuttles,
-            r.optimized_shuttles,
-            r.delta(),
-            r.delta_percent(),
+            p.name,
+            p.qubits,
+            p.two_qubit_gates,
+            p.baseline_shuttles,
+            p.optimized_shuttles,
+            p.delta(),
+            p.delta_percent(),
             r.transport_depth,
             r.packed_depth,
             r.transport_sim.timed_makespan_us,
             r.packed_sim.timed_makespan_us,
             r.clock_sim.timed_makespan_us,
-            r.optimized_sim.timed_makespan_us,
+            p.optimized_sim.timed_makespan_us,
             r.transport_sim.junction_crossings,
             100.0 * r.idle_fraction,
             format!("T{}", r.hottest_trap),
-            r.fidelity_improvement(),
+            p.fidelity_improvement(),
             100.0 * r.clock_duration_share,
             100.0 * r.clock_motional_share
         ));
@@ -352,31 +260,32 @@ fn render_csv(timing: &str, rows: &[ComparisonRow]) -> String {
          clock_motional_share\n",
     );
     for r in rows {
+        let p = &r.policy;
         out.push_str(&csv_row(&[
-            r.name.clone(),
-            r.qubits.to_string(),
-            r.two_qubit_gates.to_string(),
-            r.baseline_shuttles.to_string(),
-            r.optimized_shuttles.to_string(),
-            r.delta().to_string(),
-            format!("{:.3}", r.delta_percent()),
+            p.name.clone(),
+            p.qubits.to_string(),
+            p.two_qubit_gates.to_string(),
+            p.baseline_shuttles.to_string(),
+            p.optimized_shuttles.to_string(),
+            p.delta().to_string(),
+            format!("{:.3}", p.delta_percent()),
             r.congestion_shuttles.to_string(),
             r.transport_depth.to_string(),
             r.packed_shuttles.to_string(),
             r.packed_depth.to_string(),
             timing.to_owned(),
-            format!("{:.3}", r.optimized_sim.makespan_us),
+            format!("{:.3}", p.optimized_sim.makespan_us),
             format!("{:.3}", r.transport_sim.makespan_us),
-            format!("{:.3}", r.optimized_sim.timed_makespan_us),
+            format!("{:.3}", p.optimized_sim.timed_makespan_us),
             format!("{:.3}", r.transport_sim.timed_makespan_us),
             format!("{:.3}", r.lookahead_timed_makespan_us),
             format!("{:.3}", r.packed_timed_makespan_us),
             format!("{:.3}", r.clock_timed_makespan_us),
             r.transport_sim.zone_moves.to_string(),
             r.transport_sim.junction_crossings.to_string(),
-            format!("{:.4}", r.fidelity_improvement()),
-            format!("{:.6}", r.baseline_compile_s),
-            format!("{:.6}", r.optimized_compile_s),
+            format!("{:.4}", p.fidelity_improvement()),
+            format!("{:.6}", p.baseline_compile_s),
+            format!("{:.6}", p.optimized_compile_s),
             format!("{:.6}", r.clock_compile_s),
             format!("{:.6}", r.clock_full_compile_s),
             format!("{:.4}", r.idle_fraction),
@@ -388,167 +297,4 @@ fn render_csv(timing: &str, rows: &[ComparisonRow]) -> String {
         out.push('\n');
     }
     out
-}
-
-fn render_json(
-    suite: &str,
-    machine: &MachineSpec,
-    timing: &str,
-    fig4: &Fig4,
-    rows: &[ComparisonRow],
-    checks: &EvalChecks,
-) -> String {
-    let benchmarks = rows
-        .iter()
-        .map(|r| {
-            Json::obj(vec![
-                ("name", Json::str(&r.name)),
-                ("qubits", Json::int(r.qubits as usize)),
-                ("two_qubit_gates", Json::int(r.two_qubit_gates)),
-                ("baseline_shuttles", Json::int(r.baseline_shuttles)),
-                ("optimized_shuttles", Json::int(r.optimized_shuttles)),
-                ("delta", Json::Num(r.delta() as f64)),
-                ("delta_percent", Json::Num(r.delta_percent())),
-                ("fidelity_improvement", Json::Num(r.fidelity_improvement())),
-                (
-                    "baseline",
-                    Json::obj(vec![
-                        (
-                            "program_fidelity",
-                            Json::Num(r.baseline_sim.program_fidelity),
-                        ),
-                        ("makespan_us", Json::Num(r.baseline_sim.makespan_us)),
-                        ("compile_seconds", Json::Num(r.baseline_compile_s)),
-                    ]),
-                ),
-                (
-                    "optimized",
-                    Json::obj(vec![
-                        (
-                            "program_fidelity",
-                            Json::Num(r.optimized_sim.program_fidelity),
-                        ),
-                        ("makespan_us", Json::Num(r.optimized_sim.makespan_us)),
-                        ("compile_seconds", Json::Num(r.optimized_compile_s)),
-                    ]),
-                ),
-                (
-                    "congestion_router",
-                    Json::obj(vec![
-                        ("shuttles", Json::int(r.congestion_shuttles)),
-                        ("transport_depth", Json::int(r.transport_depth)),
-                        ("depth_delta", Json::Num(r.depth_delta() as f64)),
-                        ("makespan_us", Json::Num(r.transport_sim.makespan_us)),
-                        (
-                            "program_fidelity",
-                            Json::Num(r.transport_sim.program_fidelity),
-                        ),
-                    ]),
-                ),
-                (
-                    "timed",
-                    Json::obj(vec![
-                        (
-                            "serial_makespan_us",
-                            Json::Num(r.optimized_sim.timed_makespan_us),
-                        ),
-                        (
-                            "congestion_makespan_us",
-                            Json::Num(r.transport_sim.timed_makespan_us),
-                        ),
-                        ("zone_moves", Json::int(r.transport_sim.zone_moves)),
-                        (
-                            "junction_crossings",
-                            Json::int(r.transport_sim.junction_crossings),
-                        ),
-                    ]),
-                ),
-                (
-                    "packed",
-                    Json::obj(vec![
-                        ("shuttles", Json::int(r.packed_shuttles)),
-                        ("transport_depth", Json::int(r.packed_depth)),
-                        (
-                            "lookahead_timed_makespan_us",
-                            Json::Num(r.lookahead_timed_makespan_us),
-                        ),
-                        (
-                            "packed_timed_makespan_us",
-                            Json::Num(r.packed_timed_makespan_us),
-                        ),
-                        ("program_fidelity", Json::Num(r.packed_sim.program_fidelity)),
-                    ]),
-                ),
-                (
-                    "clock",
-                    Json::obj(vec![
-                        (
-                            "clock_timed_makespan_us",
-                            Json::Num(r.clock_timed_makespan_us),
-                        ),
-                        (
-                            "candidate_makespan_us",
-                            Json::Num(r.clock_stats.clock_makespan_us),
-                        ),
-                        ("clock_ties", Json::int(r.clock_stats.clock_ties)),
-                        ("batched_layers", Json::int(r.clock_stats.batched_layers)),
-                        ("batched_hops", Json::int(r.clock_stats.batched_hops)),
-                        ("improved", Json::Bool(r.clock_stats.improved)),
-                        ("compile_seconds", Json::Num(r.clock_compile_s)),
-                        ("compile_seconds_full", Json::Num(r.clock_full_compile_s)),
-                        ("program_fidelity", Json::Num(r.clock_sim.program_fidelity)),
-                        ("fidelity_duration_share", Json::Num(r.clock_duration_share)),
-                        ("fidelity_motional_share", Json::Num(r.clock_motional_share)),
-                    ]),
-                ),
-                (
-                    "utilization",
-                    Json::obj(vec![
-                        ("idle_fraction", Json::Num(r.idle_fraction)),
-                        ("hottest_trap", Json::int(r.hottest_trap)),
-                        ("hottest_trap_busy_us", Json::Num(r.hottest_trap_busy_us)),
-                    ]),
-                ),
-            ])
-        })
-        .collect();
-    let value = Json::obj(vec![
-        ("suite", Json::str(suite)),
-        ("machine", Json::str(machine.to_string())),
-        ("timing", Json::str(timing)),
-        (
-            "fig4_worked_example",
-            Json::obj(vec![
-                ("baseline_shuttles", Json::int(fig4.baseline_shuttles)),
-                ("optimized_shuttles", Json::int(fig4.optimized_shuttles)),
-            ]),
-        ),
-        ("benchmarks", Json::Arr(benchmarks)),
-        ("all_optimized_leq_baseline", Json::Bool(checks.all_leq)),
-        (
-            "all_congestion_leq_serial",
-            Json::Bool(checks.congestion_leq),
-        ),
-        ("depth_strictly_lower_count", Json::int(checks.depth_wins)),
-        (
-            "timed_makespan_leq_serial_count",
-            Json::int(checks.timed_makespan_wins),
-        ),
-        (
-            "all_packed_leq_lookahead",
-            Json::Bool(checks.packed_leq_lookahead),
-        ),
-        (
-            "packed_strict_win_count",
-            Json::int(checks.packed_strict_wins),
-        ),
-        ("all_clock_leq_packed", Json::Bool(checks.clock_leq_packed)),
-        (
-            "clock_strict_win_count",
-            Json::int(checks.clock_strict_wins),
-        ),
-    ]);
-    let mut text = value.to_string();
-    text.push('\n');
-    text
 }
